@@ -366,9 +366,11 @@ let run_precond () =
    sweep of the 2-D unit cell and the 3-D chip stack.  An incomplete
    factorisation's iteration count grows with resolution; the V-cycle's
    must stay near-constant — [obs_check multigrid] gates on the ratio
-   between the finest and coarsest sweep entries.  Iteration counts are
-   deterministic, so the gate is noise-free; wall times are
-   informational.  Writes BENCH_multigrid.json. *)
+   between the finest and coarsest sweep entries.  Each size also runs
+   "auto", the shipped default ladder (no [rungs]), and [obs_check
+   multigrid] holds its wall time to 1.1x the best pinned rung's, so a
+   default slower than its alternative fails CI.  Writes
+   BENCH_multigrid.json. *)
 let multigrid_json_path = "BENCH_multigrid.json"
 
 (* the finest-over-coarsest mg iteration growth the gate tolerates;
@@ -376,7 +378,18 @@ let multigrid_json_path = "BENCH_multigrid.json"
 let multigrid_growth_limit = 1.5
 
 let multigrid_preconds =
-  [ ("mg", [ Diagnostics.Cg_mg ]); ("ic0", [ Diagnostics.Cg_ic0 ]) ]
+  [ ("mg", Some [ Diagnostics.Cg_mg ]); ("ic0", Some [ Diagnostics.Cg_ic0 ]); ("auto", None) ]
+
+(* A preconditioner's wall time (and phase breakdown) is the median
+   sample of up to [multigrid_samples] solves, sampling stopping once
+   [multigrid_sample_s] seconds are spent on it.  The auto gate compares
+   two entries doing the same IC(0) work, and a sub-second solve on a
+   shared host spreads by a third between runs, so the cheap entries
+   are sampled many times, the samples of a size are interleaved (a
+   slow phase of the host hits every entry alike), and each starts from
+   a compacted heap; the multi-second 3-D solves are timed once. *)
+let multigrid_samples = 25
+let multigrid_sample_s = 2.
 
 (* per preconditioner: (iterations, wall seconds, span phase breakdown)
    — the phases separate mg's one-time hierarchy setup (mg.setup) from
@@ -393,7 +406,7 @@ let multigrid_cases ~small () =
     (if small then [ 2; 3; 4 ] else [ 3; 4; 5; 6 ]),
     fun res rungs ->
       let p = Problem.of_stack ~resolution:res stack in
-      let r = Solver.solve ~rungs p in
+      let r = Solver.solve ?rungs p in
       (Array.length r.Solver.temps, r.Solver.iterations) )
   ::
   (if small then []
@@ -403,7 +416,7 @@ let multigrid_cases ~small () =
          [ 1; 2 ],
          fun res rungs ->
            let p = Problem3.of_stack ~resolution:res stack in
-           let r = Solver3.solve ~rungs p in
+           let r = Solver3.solve ?rungs p in
            (Array.length r.Solver3.temps, r.Solver3.iterations) );
      ])
 
@@ -472,15 +485,33 @@ let run_multigrid () =
           List.map
             (fun res ->
               let ncells = ref 0 in
+              let measure (_, rungs) =
+                Gc.compact ();
+                Obs_metrics.reset ();
+                let (c, iters), wall_s = time (fun () -> f res rungs) in
+                ncells := c;
+                (iters, wall_s, phases_of_snapshot (Obs_metrics.snapshot ()))
+              in
+              let entries = Array.of_list multigrid_preconds in
+              let indices = List.init (Array.length entries) Fun.id in
+              let samples = Array.map (fun e -> [ measure e ]) entries in
+              let wall (_, w, _) = w in
+              let live i =
+                List.length samples.(i) < multigrid_samples
+                && List.fold_left (fun acc m -> acc +. wall m) 0. samples.(i)
+                   < multigrid_sample_s
+              in
+              while List.exists live indices do
+                Array.iteri
+                  (fun i e -> if live i then samples.(i) <- measure e :: samples.(i))
+                  entries
+              done;
+              let median ms =
+                let sorted = List.sort (fun a b -> Float.compare (wall a) (wall b)) ms in
+                List.nth sorted (List.length sorted / 2)
+              in
               let by_rung =
-                List.map
-                  (fun (pname, rungs) ->
-                    Obs_metrics.reset ();
-                    let (c, iters), wall_s = time (fun () -> f res rungs) in
-                    let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-                    ncells := c;
-                    (pname, (iters, wall_s, phases)))
-                  multigrid_preconds
+                List.mapi (fun i (pname, _) -> (pname, median samples.(i))) multigrid_preconds
               in
               let cells = !ncells in
               Format.fprintf ppf "  resolution=%d  cells=%-8d %s@." res cells

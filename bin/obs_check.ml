@@ -19,9 +19,12 @@
    failure.  [precond] is a CI gate: it exits 1 unless IC(0)-CG needs
    strictly fewer than half the Jacobi-CG iterations on every artefact —
    iteration counts are deterministic, so this check is noise-free.
-   [multigrid] is the mesh-independence gate: it exits 1 when the mg-CG
-   iteration count at the finest resolution of any sweep exceeds the
-   file's growth_limit (default 1.5x) times the coarsest resolution's.
+   [multigrid] is the mesh-independence and default-speed gate: it
+   exits 1 when the mg-CG iteration count at the finest resolution of
+   any sweep exceeds the file's growth_limit (default 1.5x) times the
+   coarsest resolution's, or when the default ladder ("auto") takes
+   more than 1.1x the wall time of the fastest pinned preconditioner
+   at any size.
    [idle] is the regression gate on the pool's spin-then-park behaviour:
    it reads the [pool.idle_seconds] gauge out of the trace's summary
    lines and exits 1 when the workers burned more than MAX_SECONDS
@@ -324,13 +327,19 @@ let precond path =
 
 (* --------------------------------------------------------------- multigrid *)
 
-(* CI gate on BENCH_multigrid.json: the V-cycle preconditioner's claim
-   is mesh independence, so across each artefact's resolution sweep the
-   mg iteration count at the finest grid must stay within
-   [growth_limit] (the file's own, 1.5 by default) times the coarsest
-   grid's.  Iteration counts are deterministic, so the gate is
-   noise-free.  A sweep with a single resolution (the small CI 3-D
-   case, when present) has no growth to measure and passes. *)
+(* CI gate on BENCH_multigrid.json, two checks per artefact.  Mesh
+   independence: the V-cycle preconditioner's claim, so across the
+   resolution sweep the mg iteration count at the finest grid must stay
+   within [growth_limit] (the file's own, 1.5 by default) times the
+   coarsest grid's; iteration counts are deterministic, so this check is
+   noise-free.  A sweep with a single resolution has no growth to
+   measure and passes.  Default speed: at every size the "auto" entry
+   (the shipped default ladder) must take at most [auto_wall_limit]
+   times the wall time of the fastest pinned preconditioner — a default
+   slower than its alternative is a bug, even when every iteration gate
+   passes. *)
+let auto_wall_limit = 1.1
+
 let multigrid path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   let j = match Json.parse text with Ok j -> j | Error e -> fail "%s: %s" path e in
@@ -358,33 +367,39 @@ let multigrid path =
         | Some (Json.List (_ :: _ as l)) -> l
         | _ -> fail "%s: artefact %s has no runs" path name
       in
-      let mg_iters run =
+      (* (resolution, [(precond, iterations, wall_s)]) of one run *)
+      let entries run =
         let res =
           match Option.bind (field "resolution" run) Json.to_int_opt with
           | Some r -> r
           | None -> fail "%s: artefact %s: run without a resolution" path name
         in
         match field "preconds" run with
-        | Some (Json.List ps) -> (
-          match
-            List.find_opt
-              (fun p -> Option.bind (field "name" p) Json.to_string_opt = Some "mg")
-              ps
-          with
-          | Some p -> (
-            match Option.bind (field "iterations" p) Json.to_int_opt with
-            | Some i when i > 0 -> (res, i)
-            | Some i ->
-              fail "%s: artefact %s resolution %d: non-positive mg iterations %d" path
-                name res i
-            | None ->
-              fail "%s: artefact %s resolution %d: mg entry without iterations" path name
-                res)
-          | None ->
-            fail "%s: artefact %s resolution %d: no mg preconditioner entry" path name res)
+        | Some (Json.List ps) ->
+          ( res,
+            List.map
+              (fun p ->
+                let get what into =
+                  match Option.bind (field what p) into with
+                  | Some v -> v
+                  | None ->
+                    fail "%s: artefact %s resolution %d: precond entry without %S" path
+                      name res what
+                in
+                (get "name" Json.to_string_opt, get "iterations" Json.to_int_opt,
+                 get "wall_s" Json.to_float_opt))
+              ps )
         | _ -> fail "%s: artefact %s resolution %d: no \"preconds\" array" path name res
       in
-      let counts = List.map mg_iters runs in
+      let sweep = List.map entries runs in
+      let mg_iters (res, es) =
+        match List.find_opt (fun (n, _, _) -> n = "mg") es with
+        | Some (_, i, _) when i > 0 -> (res, i)
+        | Some (_, i, _) ->
+          fail "%s: artefact %s resolution %d: non-positive mg iterations %d" path name res i
+        | None -> fail "%s: artefact %s resolution %d: no mg preconditioner entry" path name res
+      in
+      let counts = List.map mg_iters sweep in
       let res0, i0 = List.hd counts and res1, i1 = List.hd (List.rev counts) in
       let growth = float_of_int i1 /. float_of_int i0 in
       if growth > limit then
@@ -393,7 +408,31 @@ let multigrid path =
            %.2fx > %.2fx — the V-cycle has lost mesh independence"
           path name i0 res0 i1 res1 growth limit;
       Printf.printf "%s: %s ok — mg iterations %d -> %d across resolutions %d..%d (%.2fx <= %.2fx)\n"
-        path name i0 i1 res0 res1 growth limit)
+        path name i0 i1 res0 res1 growth limit;
+      List.iter
+        (fun (res, es) ->
+          let auto, pinned = List.partition (fun (n, _, _) -> n = "auto") es in
+          let auto_s =
+            match auto with
+            | [ (_, _, w) ] -> w
+            | _ -> fail "%s: artefact %s resolution %d: no single auto entry" path name res
+          in
+          let best, _, best_s =
+            match List.sort (fun (_, _, a) (_, _, b) -> Float.compare a b) pinned with
+            | fastest :: _ -> fastest
+            | [] ->
+              fail "%s: artefact %s resolution %d: no pinned preconditioner to compare auto with"
+                path name res
+          in
+          let ratio = auto_s /. best_s in
+          if ratio > auto_wall_limit then
+            fail
+              "%s: artefact %s resolution %d: the default ladder took %.4fs, %.2fx the %.4fs \
+               of pinned %s (limit %.2fx) — the default is not the fastest option"
+              path name res auto_s ratio best_s best auto_wall_limit;
+          Printf.printf "%s: %s resolution %d ok — auto %.4fs is %.2fx pinned %s (<= %.2fx)\n"
+            path name res auto_s ratio best auto_wall_limit)
+        sweep)
     artefacts
 
 (* -------------------------------------------------------------------- idle *)

@@ -203,10 +203,12 @@ let precond_t =
     & opt (enum kinds) None
     & info [ "precond" ] ~docv:"KIND"
         ~doc:
-          "preconditioner for the FV reference solve: $(b,auto) (the full multigrid -> IC(0) \
-           -> SSOR -> Jacobi escalation ladder, the default), or pin $(b,mg), $(b,ic0), \
-           $(b,ssor) or $(b,jacobi); combine with $(b,--solver-report) to see the iteration \
-           counts")
+          "preconditioner for the FV reference solve: $(b,auto) (the IC(0) -> SSOR -> \
+           Jacobi -> BiCGStab -> direct escalation ladder, the default), or pin $(b,mg), \
+           $(b,ic0), $(b,ssor) or $(b,jacobi); combine with $(b,--solver-report) to see the \
+           iteration counts.  Multigrid is opt-in: it needs about a tenth of IC(0)'s \
+           iterations, but its setup plus V-cycles take 2.6-4.5x IC(0)'s wall time at every \
+           benchmarked size (BENCH_multigrid.json)")
 
 let solver_report_t =
   Arg.(

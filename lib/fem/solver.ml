@@ -156,7 +156,9 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?b
     let n = Sparse.rows matrix in
     let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 2000 (40 * n) in
     (* declare the unknowns' tensor-grid layout (Grid.index: ir fastest)
-       so the ladder can top itself with the geometric multigrid rung *)
+       for a multigrid rung requested through [rungs]; the default ladder
+       never tops itself with mg, which loses to IC(0) on wall-clock at
+       every benchmarked size (BENCH_multigrid.json: 2.6-4.5x) *)
     let g = p.Problem.grid in
     let shape = [| Grid.nr g; Grid.nz g |] in
     match
@@ -216,8 +218,7 @@ let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~mater
       Array.init n (fun i -> (p.Problem.source.(i) *. scale) +. (cdt.(i) *. !temps.(i)))
     in
     let x, d =
-      Robust.solve_exn ~tol ~max_iter:(Stdlib.max 2000 (40 * n)) ~x0:!temps ?pool
-        ~shape:[| nr; Grid.nz g |] system rhs
+      Robust.solve_exn ~tol ~max_iter:(Stdlib.max 2000 (40 * n)) ~x0:!temps ?pool system rhs
     in
     temps := x;
     total_iters := !total_iters + d.Diagnostics.iterations;

@@ -122,8 +122,8 @@ let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?on_iterate ?pool ?rungs ?budget p =
   let matrix = assemble ?pool p in
   let n = Sparse.rows matrix in
   let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 4000 (10 * n) in
-  (* Grid3.index: ix fastest, then iy, then iz — the multigrid rung's
-     tensor-grid layout *)
+  (* Grid3.index: ix fastest, then iy, then iz — the tensor-grid layout
+     an explicitly requested multigrid rung needs *)
   let g3 = p.Problem3.grid in
   let shape = [| Grid3.nx g3; Grid3.ny g3; Grid3.nz g3 |] in
   match

@@ -169,10 +169,7 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window
         budget_tick budget;
         Fault.poison "matvec" ax0;
         let r = Vec.sub b ax0 in
-        let z = Precond.apply ?pool m r in
-        let p = Vec.copy z in
         let nb = norm_b_floor b in
-        let rz = ref (Vec.pdot ?pool r z) in
         let res = ref (Vec.pnorm2 ?pool r /. nb) in
         let trace = ref [ !res ] in
         let hist = history_create "cg" in
@@ -180,6 +177,15 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window
         let iter = ref 0 in
         let best = ref !res and best_iter = ref 0 in
         let status = ref (if !res <= tol then Some Converged else None) in
+        (* an already-converged x0 (an exact warm start) pays no
+           preconditioner application: p and rz are read only by the loop *)
+        let p, rz =
+          if !status = None then begin
+            let z = Precond.apply ?pool m r in
+            (z, ref (Vec.pdot ?pool r z))
+          end
+          else ([||], ref 0.)
+        in
         while !status = None && !iter < max_iter do
           match budget_status budget with
           | Some s -> status := Some s

@@ -65,7 +65,9 @@ val cg :
     a stronger {!Precond.t} (IC(0), SSOR) instead — the Jacobi array is
     then never built.  [tol] is the relative residual
     target (default [1e-10]); [max_iter] defaults to [10 * n];
-    [x0] defaults to the zero vector.  [on_iterate] is called with
+    [x0] defaults to the zero vector; an [x0] already within [tol]
+    returns after 0 iterations without applying the preconditioner at
+    all.  [on_iterate] is called with
     [(iteration, relative residual)] after every step.
     [stagnation_window] (default [max 250 (max_iter / 10)] — Krylov
     residuals legitimately plateau for long stretches before the

@@ -8,7 +8,9 @@
       the only rung whose iteration counts stay near-constant as the
       grid refines; needs the grid [shape], so it is only available
       where one is known.  Every kernel it runs is embarrassingly
-      parallel, unlike the triangular sweeps below.
+      parallel, unlike the triangular sweeps below.  Its setup plus
+      cycles still cost more wall time than an {!ic0} solve on every
+      benchmarked grid, so the solver ladders use it only on request.
     - {!ic0} — incomplete Cholesky with zero fill.  Strongest
       shape-oblivious option: on the
       fig5/Table I grids it cuts CG iteration counts by roughly an order

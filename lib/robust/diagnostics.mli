@@ -10,9 +10,10 @@
 type rung =
   | Cg_mg
       (** geometric-multigrid-preconditioned conjugate gradients
-          (strongest; needs a structured-grid shape, so it only joins
-          the ladder when one is known) *)
-  | Cg_ic0  (** IC(0)-preconditioned conjugate gradients (strongest shape-oblivious rung) *)
+          (fewest iterations, but slower than [Cg_ic0] in wall time on
+          every benchmarked grid; opt-in through
+          {!Robust.mg_rungs} and needs a structured-grid shape) *)
+  | Cg_ic0  (** IC(0)-preconditioned conjugate gradients (the default ladder's first rung) *)
   | Cg_ssor  (** SSOR-preconditioned conjugate gradients *)
   | Cg  (** Jacobi-preconditioned conjugate gradients *)
   | Bicgstab  (** Jacobi-preconditioned BiCGStab *)

@@ -51,8 +51,9 @@ let default_rungs =
   [ Diagnostics.Cg_ic0; Diagnostics.Cg_ssor; Diagnostics.Cg; Diagnostics.Bicgstab;
     Diagnostics.Direct ]
 
-(* the ladder used when a structured-grid [shape] is known: multigrid
-   tops it, everything below is the shape-oblivious default ladder *)
+(* opt-in: multigrid on top of the default ladder.  Never chosen
+   implicitly — on every benchmarked grid its setup plus cycles cost more
+   wall time than IC(0)'s whole solve (BENCH_multigrid.json) *)
 let mg_rungs = Diagnostics.Cg_mg :: default_rungs
 
 (* Direct solves are the last resort: accept them at a looser floor than
@@ -117,17 +118,7 @@ let solve_direct a b =
     match Dense.solve d b with x -> Ok x | exception Dense.Singular -> Error Diagnostics.Singular)
 
 let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergence_factor
-    ?pool ?rungs ?shape ?budget a b =
-  (* without an explicit [rungs] list the ladder adapts to what is
-     known about the system: a structured-grid [shape] promotes the
-     multigrid rung to the top, otherwise the shape-oblivious default
-     ladder runs unchanged *)
-  let rungs =
-    match (rungs, shape) with
-    | Some r, _ -> r
-    | None, Some _ -> mg_rungs
-    | None, None -> default_rungs
-  in
+    ?pool ?(rungs = default_rungs) ?shape ?budget a b =
   let start = Unix.gettimeofday () in
   match preflight a b with
   | _ :: _ as problems ->

@@ -1,10 +1,9 @@
 (** Resilient linear solving: the escalation ladder.
 
-    [solve] climbs a ladder of solver rungs — geometric-multigrid CG
-    first when the structured-grid [shape] is known, then
-    IC(0)-preconditioned CG, demoting to SSOR-CG, then Jacobi-CG, then
-    BiCGStab (warm-started from the best iterate so far), then a direct
-    banded/dense LU fallback — until one of them produces a solution,
+    [solve] climbs a ladder of solver rungs — IC(0)-preconditioned CG,
+    demoting to SSOR-CG, then Jacobi-CG, then BiCGStab (warm-started
+    from the best iterate so far), then a direct banded/dense LU
+    fallback — until one of them produces a solution,
     and returns a {!Diagnostics.t} recording which rungs fired (the
     preconditioner rung included), why the failed ones stopped, and the
     residual history.  A preconditioner whose {e construction} fails
@@ -44,12 +43,15 @@ val pp_reason : Format.formatter -> reason -> unit
 val pp_failure : Format.formatter -> failure -> unit
 
 val default_rungs : Diagnostics.rung list
-(** [[Cg_ic0; Cg_ssor; Cg; Bicgstab; Direct]] — the ladder used when
-    neither [rungs] nor [shape] is supplied. *)
+(** [[Cg_ic0; Cg_ssor; Cg; Bicgstab; Direct]] — the ladder used when no
+    [rungs] list is supplied, with or without a [shape]. *)
 
 val mg_rungs : Diagnostics.rung list
-(** [Cg_mg :: default_rungs] — the ladder used when a structured-grid
-    [shape] is supplied without an explicit [rungs] list. *)
+(** [Cg_mg :: default_rungs] — the opt-in multigrid ladder (the CLI's
+    [--precond mg]).  Never chosen implicitly: on every grid in
+    BENCH_multigrid.json, up to the 3-D resolution-2 stack, mg setup
+    plus cycles takes 2.6–4.5x the wall time of the IC(0) rung's whole
+    solve, although mg needs an order of magnitude fewer iterations. *)
 
 val solve :
   ?tol:float ->
@@ -66,12 +68,12 @@ val solve :
   Ttsv_numerics.Vec.t ->
   (Ttsv_numerics.Vec.t * Diagnostics.t, failure) result
 (** [solve a b] solves [a x = b], escalating through [rungs] (default
-    {!default_rungs}, or {!mg_rungs} when [shape] is given).  [shape]
-    declares that the unknowns live on a structured tensor grid with the
-    given extents (first dimension fastest-varying; the FEM solvers pass
-    [[|nr; nz|]] / [[|nx; ny; nz|]]), which is what the geometric
-    multigrid rung needs to build its hierarchy — a [Cg_mg] rung
-    requested without a [shape] is recorded as
+    {!default_rungs}).  [shape] declares that the unknowns live on a
+    structured tensor grid with the given extents (first dimension
+    fastest-varying; the FEM solvers pass [[|nr; nz|]] /
+    [[|nx; ny; nz|]]); it never changes the ladder, and only a [Cg_mg]
+    rung listed in [rungs] reads it to build its hierarchy — a [Cg_mg]
+    rung requested without a [shape] is recorded as
     [Skipped "mg: no structured-grid shape"] and the ladder demotes at
     zero cost.  [tol] (default [1e-10]) is the relative residual
     target; [max_iter] is the per-rung iteration budget of the iterative

@@ -4,12 +4,12 @@
     {!Protocol.solve_key}:
 
     - {b operators}: assembled CSR conductance matrices with their
-      tensor-grid shape and source vector — skips meshing + assembly on
-      a repeated geometry;
-    - {b preconds}: preconditioner setups (the multigrid hierarchy when
-      it builds, IC(0) factors otherwise) — the single biggest
-      per-request win, since ~60 % of a multigrid solve's wall time is
-      one-time hierarchy setup;
+      source vector — skips meshing + assembly on a repeated geometry;
+    - {b preconds}: the IC(0) factor of the default ladder's top rung
+      (or a cached "it does not build", which sends the request straight
+      to the {!Ttsv_robust.Robust} ladder).  Multigrid is never built
+      here: its hierarchy setup alone costs more than an IC(0)-CG solve
+      at the served resolutions;
     - {b solutions}: previous temperature fields, used to warm-start
       repeated queries (exact key hit) and nearby ones (freshest
       dimension-compatible field), which converge in a fraction of the

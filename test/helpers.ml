@@ -26,6 +26,14 @@ let check_raises_invalid msg f =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* the default solver ladder is IC(0)-first whatever is known about the
+   system: a structured-grid shape never promotes the multigrid rung *)
+let check_default_ladder (d : Ttsv_robust.Diagnostics.t) =
+  let module D = Ttsv_robust.Diagnostics in
+  Alcotest.(check bool) "answered by cg-ic0" true (d.D.solved_by = Some D.Cg_ic0);
+  Alcotest.(check bool) "no multigrid attempt" false
+    (List.exists (fun (at : D.attempt) -> at.D.rung = D.Cg_mg) d.D.attempts)
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

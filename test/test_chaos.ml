@@ -336,15 +336,15 @@ let containment_tests =
           Alcotest.(check bool) "some rung skipped" true skipped);
     test "an injected multigrid construction fault degrades to the IC(0) rung" (fun () ->
         (* seed 0 was probed to make the first precond-site draw (the mg
-           build) fire and the second (the ic0 build) pass, so the
-           ladder's new top rung dies and the old top rung answers *)
+           build) fire and the second (the ic0 build) pass, so the opt-in
+           mg rung dies and the default ladder's top rung answers *)
         let stack = Params.fig5_stack (Units.um 1.) in
         let p = Problem.of_stack ~resolution:1 stack in
         let a = Solver.assemble p in
         let g = p.Problem.grid in
         let shape = [| Ttsv_fem.Grid.nr g; Ttsv_fem.Grid.nz g |] in
         with_spec "precond=0.5:0" @@ fun () ->
-        match Robust.solve ~shape a p.Problem.source with
+        match Robust.solve ~rungs:Robust.mg_rungs ~shape a p.Problem.source with
         | Error f ->
           Alcotest.fail (Format.asprintf "ladder gave up: %a" Robust.pp_failure f)
         | Ok (_, d) ->
@@ -374,7 +374,7 @@ let containment_tests =
         let stack = Params.fig5_stack (Units.um 1.) in
         let p = Problem.of_stack ~resolution:1 stack in
         let b = Budget.make ~max_work:50 () in
-        match Solver.try_solve ~budget:b p with
+        match Solver.try_solve ~rungs:Robust.mg_rungs ~budget:b p with
         | Ok _ -> Alcotest.fail "expected a budget failure"
         | Error f ->
           (match f.Robust.reason with

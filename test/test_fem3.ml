@@ -155,6 +155,9 @@ let solver_tests =
         Alcotest.(check int) "size" (Grid3.nx g * Grid3.ny g) (Array.length field);
         let fmax = Array.fold_left Float.max 0. field in
         close_rel ~tol:0.2 "top row holds (nearly) the max" (Solver3.max_rise r) fmax);
+    test "Solver3.solve without rungs is answered by IC(0), never multigrid" (fun () ->
+        check_default_ladder
+          (Solver3.solve (Problem3.of_stack (small_stack ()))).Solver3.diagnostics);
   ]
 
 let suite = ("fem3", grid_tests @ solver_tests)

@@ -178,6 +178,25 @@ let unit_tests =
             true
             (String.length e >= 6 && String.sub e 0 6 = "budget")
         | Ok _ -> Alcotest.fail "build succeeded with an expired budget");
+    test "CG from an exact x0 never applies an expired mg preconditioner" (fun () ->
+        (* the budget captured by the hierarchy is spent after the build,
+           so any V-cycle would raise Budget.Expired: a converged start
+           must return before the first preconditioner application *)
+        let nx = 16 and ny = 12 in
+        let a = model_poisson nx ny ~ax:1. ~ay:4. in
+        let x = pseudo (nx * ny) 3 in
+        let b = Sparse.mat_vec a x in
+        let budget = Budget.make ~max_work:1 () in
+        let pc =
+          match Precond.mg ~budget ~shape:[| nx; ny |] a with
+          | Ok p -> p
+          | Error e -> Alcotest.fail e
+        in
+        Budget.tick ~n:2 budget;
+        let r = Iterative.cg ~tol:1e-10 ~x0:x ~precond:pc a b in
+        Alcotest.(check int) "no iterations" 0 r.Iterative.iterations;
+        Alcotest.(check bool) "converged" true r.Iterative.converged;
+        Alcotest.(check bool) "x0 returned unchanged" true (r.Iterative.solution = x));
     test "cycle rejects a residual of the wrong dimension" (fun () ->
         let a = model_poisson 8 8 ~ax:1. ~ay:1. in
         let h = build_exn ~shape:[| 8; 8 |] a in

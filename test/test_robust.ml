@@ -297,4 +297,19 @@ let fem_failure_tests =
           Alcotest.(check bool) "wall time recorded" true (d.Diagnostics.wall_time >= 0.));
   ]
 
-let suite = ("robust", ladder_tests @ validate_tests @ fem_failure_tests)
+let default_ladder_tests =
+  let fig5_problem () = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
+  [
+    test "Solver.solve without rungs is answered by IC(0), never multigrid" (fun () ->
+        check_default_ladder (Solver.solve (fig5_problem ())).Solver.diagnostics);
+    test "Robust.solve with a shape and no rungs runs the default ladder" (fun () ->
+        let p = fig5_problem () in
+        let g = p.Problem.grid in
+        let shape = [| Ttsv_fem.Grid.nr g; Ttsv_fem.Grid.nz g |] in
+        match Robust.solve ~shape (Solver.assemble p) p.Problem.source with
+        | Ok (_, d) -> check_default_ladder d
+        | Error f -> Alcotest.failf "solve failed: %a" Robust.pp_failure f);
+  ]
+
+let suite =
+  ("robust", ladder_tests @ validate_tests @ fem_failure_tests @ default_ladder_tests)

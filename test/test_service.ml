@@ -206,6 +206,12 @@ let engine_tests =
         Alcotest.(check bool) "exact warm start" true (warm.P.cache.P.warm = P.Warm_exact);
         Alcotest.(check int) "zero iterations" 0 warm.P.iterations;
         close "same answer" cold.P.max_rise_k warm.P.max_rise_k);
+    test "a served solve is answered by the IC(0) rung" (fun () ->
+        let engine = Engine.create () in
+        let cold = expect_solved (Engine.handle engine (solve_request ())) in
+        Alcotest.(check string) "cold rung" "cg-ic0" cold.P.rung;
+        let warm = expect_solved (Engine.handle engine (solve_request ())) in
+        Alcotest.(check string) "warm rung" "cg-ic0" warm.P.rung);
     test "a nearby geometry warm-starts from the freshest solution" (fun () ->
         let engine = Engine.create () in
         let a = expect_solved (Engine.handle engine (solve_request ~radius_um:5. ())) in
