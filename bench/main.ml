@@ -369,7 +369,10 @@ let run_precond () =
    between the finest and coarsest sweep entries.  Each size also runs
    "auto", the shipped default ladder (no [rungs]), and [obs_check
    multigrid] holds its wall time to 1.1x the best pinned rung's, so a
-   default slower than its alternative fails CI.  Writes
+   default slower than its alternative fails CI.  The 2-D sweep also
+   pins "chol", the band-Cholesky rung the default ladder starts with;
+   the 3-D stack's band is too wide for it, so pinned alone it would
+   answer nothing there.  Writes
    BENCH_multigrid.json. *)
 let multigrid_json_path = "BENCH_multigrid.json"
 
@@ -379,6 +382,8 @@ let multigrid_growth_limit = 1.5
 
 let multigrid_preconds =
   [ ("mg", Some [ Diagnostics.Cg_mg ]); ("ic0", Some [ Diagnostics.Cg_ic0 ]); ("auto", None) ]
+
+let multigrid_preconds_2d = multigrid_preconds @ [ ("chol", Some [ Diagnostics.Cg_chol ]) ]
 
 (* A preconditioner's wall time (and phase breakdown) is the median
    sample of up to [multigrid_samples] solves, sampling stopping once
@@ -404,6 +409,7 @@ let multigrid_cases ~small () =
        the asymptotic iteration plateau (15 vs 19-23), so including it
        reads as growth when the finer meshes are actually flat *)
     (if small then [ 2; 3; 4 ] else [ 3; 4; 5; 6 ]),
+    multigrid_preconds_2d,
     fun res rungs ->
       let p = Problem.of_stack ~resolution:res stack in
       let r = Solver.solve ?rungs p in
@@ -414,6 +420,7 @@ let multigrid_cases ~small () =
      [
        ( "solve3_fig5",
          [ 1; 2 ],
+         multigrid_preconds,
          fun res rungs ->
            let p = Problem3.of_stack ~resolution:res stack in
            let r = Solver3.solve ?rungs p in
@@ -479,7 +486,7 @@ let run_multigrid () =
   Ttsv_obs.Config.enable_metrics ();
   let results =
     List.map
-      (fun (artefact, resolutions, f) ->
+      (fun (artefact, resolutions, preconds, f) ->
         Format.fprintf ppf "@.%s:@." artefact;
         let points =
           List.map
@@ -492,7 +499,7 @@ let run_multigrid () =
                 ncells := c;
                 (iters, wall_s, phases_of_snapshot (Obs_metrics.snapshot ()))
               in
-              let entries = Array.of_list multigrid_preconds in
+              let entries = Array.of_list preconds in
               let indices = List.init (Array.length entries) Fun.id in
               let samples = Array.map (fun e -> [ measure e ]) entries in
               let wall (_, w, _) = w in
@@ -511,7 +518,7 @@ let run_multigrid () =
                 List.nth sorted (List.length sorted / 2)
               in
               let by_rung =
-                List.mapi (fun i (pname, _) -> (pname, median samples.(i))) multigrid_preconds
+                List.mapi (fun i (pname, _) -> (pname, median samples.(i))) preconds
               in
               let cells = !ncells in
               Format.fprintf ppf "  resolution=%d  cells=%-8d %s@." res cells
@@ -559,7 +566,7 @@ let run_multigrid () =
    [Engine.handle_batch] call, at batch sizes 1/10/100 (and 1000 when
    not small).  Batch 1 pays the cold cost — assembly, preconditioner
    setup, zero-start solve — on every single request; larger batches
-   amortise all three cache levels across the repeats, which is the
+   amortise both cache levels across the repeats, which is the
    >= 3x batch-100-over-batch-1 throughput floor [obs_check service]
    gates on.  Hit rates are harvested from the [service.cache.*]
    counters in the metrics registry, not from the engine, so the number

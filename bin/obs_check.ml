@@ -266,8 +266,9 @@ let bench path =
 
 (* ----------------------------------------------------------------- precond *)
 
-(* CI gate on BENCH_precond.json: IC(0) must earn its place at the top
-   of the escalation ladder by needing < 0.5x the Jacobi-CG iterations
+(* CI gate on BENCH_precond.json: IC(0) must earn its place as the
+   ladder's rung for bands too wide to factor by needing < 0.5x the
+   Jacobi-CG iterations
    on every artefact.  Iteration counts are chunk-deterministic, so the
    threshold can be hard without flaking. *)
 let precond path =

@@ -192,6 +192,7 @@ let precond_t =
   let kinds =
     [
       ("auto", None);
+      ("chol", Some [ Diagnostics.Cg_chol; Diagnostics.Direct ]);
       ("mg", Some [ Diagnostics.Cg_mg; Diagnostics.Direct ]);
       ("ic0", Some [ Diagnostics.Cg_ic0; Diagnostics.Direct ]);
       ("ssor", Some [ Diagnostics.Cg_ssor; Diagnostics.Direct ]);
@@ -203,12 +204,16 @@ let precond_t =
     & opt (enum kinds) None
     & info [ "precond" ] ~docv:"KIND"
         ~doc:
-          "preconditioner for the FV reference solve: $(b,auto) (the IC(0) -> SSOR -> \
-           Jacobi -> BiCGStab -> direct escalation ladder, the default), or pin $(b,mg), \
-           $(b,ic0), $(b,ssor) or $(b,jacobi); combine with $(b,--solver-report) to see the \
-           iteration counts.  Multigrid is opt-in: it needs about a tenth of IC(0)'s \
-           iterations, but its setup plus V-cycles take 2.6-4.5x IC(0)'s wall time at every \
-           benchmarked size (BENCH_multigrid.json)")
+          "preconditioner for the FV reference solve: $(b,auto) (the band-Cholesky -> \
+           IC(0) -> SSOR -> Jacobi -> BiCGStab -> direct escalation ladder, the default), or \
+           pin $(b,chol), $(b,mg), $(b,ic0), $(b,ssor) or $(b,jacobi); combine with \
+           $(b,--solver-report) to see the iteration counts.  The exact band factor comes \
+           first because the 2-D operator's half-bandwidth is only nr = 15 x resolution: \
+           its n.nr^2 setup plus one or two CG iterations beats IC(0)-CG's 60-400 \
+           iterations at every size (5x at resolution 1, 2x at resolution 8).  Multigrid \
+           is opt-in: it needs about a tenth of IC(0)'s iterations, but its setup plus \
+           V-cycles take 2.6-4.5x IC(0)'s wall time at every benchmarked size \
+           (BENCH_multigrid.json)")
 
 let solver_report_t =
   Arg.(
@@ -541,11 +546,10 @@ let serve_cmd =
     Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
   in
   let operators_t = cap "cache-operators" 32 "assembled-operator cache capacity (LRU)" in
-  let preconds_t = cap "cache-preconds" 32 "preconditioner-setup cache capacity (LRU)" in
   let solutions_t = cap "cache-solutions" 64 "warm-start solution cache capacity (LRU)" in
-  let run batch operators preconds solutions domains () =
+  let run batch operators solutions domains () =
     with_pool domains @@ fun pool ->
-    let engine = Engine.create ~pool ~operators ~preconds ~solutions () in
+    let engine = Engine.create ~pool ~operators ~solutions () in
     let answered = Engine.serve ~batch engine stdin stdout in
     Format.eprintf "served %d request(s), cache hit rate %.2f@." answered
       (Engine.hit_rate engine)
@@ -560,14 +564,14 @@ let serve_cmd =
             "Reads one ttsv.request.v1 JSON object per line from stdin and writes one \
              ttsv.response.v1 object per line to stdout, in input order.  Repeated or \
              nearby geometries are served from bounded LRU caches (assembled operators, \
-             preconditioner setups, warm-start solutions); malformed lines yield typed \
+             warm-start solutions); malformed lines yield typed \
              error responses, never a crash.  Combine with $(b,--trace)/$(b,--metrics) to \
              profile a serving session with obs_report.";
         ]
   in
   Cmd.v info
     Term.(
-      const run $ batch_t $ operators_t $ preconds_t $ solutions_t $ domains_t $ obs_t)
+      const run $ batch_t $ operators_t $ solutions_t $ domains_t $ obs_t)
 
 (* ------------------------------------------------------------------ export *)
 

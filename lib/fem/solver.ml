@@ -155,10 +155,14 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?b
     let matrix = assemble ?pool ?bottom_h p in
     let n = Sparse.rows matrix in
     let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 2000 (40 * n) in
-    (* declare the unknowns' tensor-grid layout (Grid.index: ir fastest)
-       for a multigrid rung requested through [rungs]; the default ladder
-       never tops itself with mg, which loses to IC(0) on wall-clock at
-       every benchmarked size (BENCH_multigrid.json: 2.6-4.5x) *)
+    (* Grid.index numbers ir fastest, so the operator's half-bandwidth
+       is nr = 15 * resolution: the default ladder's band-Cholesky rung
+       factors it exactly in n*nr^2/2 multiply-adds, less than the
+       60-400 IC(0)-CG iterations it replaces at every resolution, and
+       CG then converges in one or two iterations.  The shape declares
+       that layout for a multigrid rung requested through [rungs]; the
+       default ladder never tops itself with mg, which loses to IC(0) on
+       wall-clock at every benchmarked size (BENCH_multigrid.json) *)
     let g = p.Problem.grid in
     let shape = [| Grid.nr g; Grid.nz g |] in
     match

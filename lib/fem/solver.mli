@@ -8,8 +8,10 @@
     isothermal sink at rise 0; all other boundaries are adiabatic.
 
     The assembled conductance matrix is solved through the
-    {!Ttsv_robust.Robust} escalation ladder (CG, then BiCGStab, then a
-    direct fallback); every result carries the ladder's
+    {!Ttsv_robust.Robust} escalation ladder (CG preconditioned by the
+    exact band factor — cells are numbered radius-fastest, so the
+    half-bandwidth is only [nr] — then IC(0)-CG and the weaker rungs,
+    then a direct fallback); every result carries the ladder's
     {!Ttsv_robust.Diagnostics.t} and every failure is a typed value or
     typed exception — never a bare [Failure]. *)
 
@@ -54,10 +56,10 @@ val try_solve :
     observes every linear iteration.  Non-finite or non-positive
     conductivities and non-finite sources are rejected up front as
     [Invalid_input].  [x0] warm-starts the iterative rungs from a
-    previous nearby solution (length-checked by the ladder); solving a
-    perturbed geometry from a neighbour's field typically converges in a
-    fraction of the cold-start iterations, which is what the service
-    layer's solution cache exploits.  [pool] parallelizes assembly and
+    previous nearby solution (length-checked by the ladder); an [x0]
+    already within [tol] is accepted at zero iterations before any
+    preconditioner is built, which is what the service layer's solution
+    cache exploits on a repeated query.  [pool] parallelizes assembly and
     the iterative rungs; results are bitwise identical to a sequential
     solve.
     [rungs] overrides the escalation ladder (e.g. to pin a single

@@ -4,6 +4,10 @@ let create ~n ~bw =
   if n < 0 || bw < 0 then invalid_arg "Banded.create: negative size";
   { n; bw; band = Array.make_matrix n ((2 * bw) + 1) 0. }
 
+let fits ~n ~bw =
+  let width = (2 * bw) + 1 in
+  n * width <= 50_000_000 && width < n
+
 let order m = m.n
 let bandwidth m = m.bw
 

@@ -13,6 +13,13 @@ type t
 val create : n:int -> bw:int -> t
 (** [create ~n ~bw] is an [n x n] zero matrix with half-bandwidth [bw]. *)
 
+val fits : n:int -> bw:int -> bool
+(** [fits ~n ~bw] is the cap on band storage for an order-[n] matrix of
+    half-bandwidth [bw]: the full band holds at most 50M entries
+    ([n·(2bw+1) <= 50_000_000]) and is narrower than the matrix
+    ([2bw+1 < n]).  The one admission rule shared by the Robust ladder's
+    direct rung and {!Precond.band_cholesky}. *)
+
 val order : t -> int
 
 val bandwidth : t -> int

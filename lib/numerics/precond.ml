@@ -8,7 +8,7 @@ module Fault = Ttsv_parallel.Fault
 let injected () = Fault.fire "precond"
 let injected_error = "injected construction fault"
 
-type kind = Jacobi | Ssor of float | Ic0 of float | Mg of int
+type kind = Jacobi | Ssor of float | Ic0 of float | Mg of int | Chol
 
 type t = {
   kind : kind;
@@ -17,7 +17,12 @@ type t = {
 }
 
 let name t =
-  match t.kind with Jacobi -> "jacobi" | Ssor _ -> "ssor" | Ic0 _ -> "ic0" | Mg _ -> "mg"
+  match t.kind with
+  | Jacobi -> "jacobi"
+  | Ssor _ -> "ssor"
+  | Ic0 _ -> "ic0"
+  | Mg _ -> "mg"
+  | Chol -> "chol"
 
 let dim t = t.dim
 let ic0_shift t = match t.kind with Ic0 s -> Some s | _ -> None
@@ -235,6 +240,114 @@ let ic0 ?(shifts = default_shifts) ?budget a =
           y
         in
         Ok { kind = Ic0 shift; dim = n; apply_fn }
+    end
+  end
+
+(* ------------------------------------------------------ band Cholesky *)
+
+(* sum_{lo<=k<hi} x.(ox+k) * y.(oy+k), in four independent partial sums
+   so consecutive multiply-adds do not wait on each other: the band
+   factor's inner loops are these dot products, and a single running sum
+   serializes them on the floating-point add latency *)
+let[@inline] dot x ox y oy lo hi =
+  let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+  let k = ref lo in
+  while !k + 3 < hi do
+    let k0 = !k in
+    s0 := !s0 +. (x.(ox + k0) *. y.(oy + k0));
+    s1 := !s1 +. (x.(ox + k0 + 1) *. y.(oy + k0 + 1));
+    s2 := !s2 +. (x.(ox + k0 + 2) *. y.(oy + k0 + 2));
+    s3 := !s3 +. (x.(ox + k0 + 3) *. y.(oy + k0 + 3));
+    k := k0 + 4
+  done;
+  while !k < hi do
+    s0 := !s0 +. (x.(ox + !k) *. y.(oy + !k));
+    incr k
+  done;
+  !s0 +. !s1 +. (!s2 +. !s3)
+
+(* Exact Cholesky factor of a narrow band, A = L L^T, in one flat array
+   of n rows of bw+1 entries: L[i,j] (i-bw <= j <= i) lives at
+   i*(bw+1) + bw - i + j, so row i's band is contiguous and its
+   diagonal is the row's last entry.  No fill escapes the band, so the
+   factor is exact; rows are produced in order,
+
+      L[i,j] = (A[i,j] - sum_{lo_i<=k<j} L[i,k] L[j,k]) / L[j,j]   (j < i)
+      L[i,i] = sqrt(A[i,i] - sum_{lo_i<=k<i} L[i,k]^2)
+
+   with lo_i = max 0 (i-bw), overwriting A's band in place.  That costs
+   n*bw^2/2 multiply-adds, so the band is admitted only under the direct
+   rung's storage cap and when bw^2 <= n: then the factor costs at most
+   ~n^2/2, and on the tensor grids the library builds it holds exactly
+   for the 2-D unit cell numbered radius-fastest (bw = nr <= nz) and
+   fails for every 3-D stack (bw = nx*ny). *)
+let band_cholesky ?budget a =
+  let n = Sparse.rows a in
+  if injected () then Error injected_error
+  else if Sparse.cols a <> n then Error "matrix not square"
+  else begin
+    let bw = Sparse.bandwidth a in
+    if not (Banded.fits ~n ~bw && bw * bw <= n) then
+      Error (Printf.sprintf "band too wide (half-bandwidth %d, order %d)" bw n)
+    else begin
+      let w = bw + 1 in
+      (* row i's offset: L[i,k] is l.(off i + k) *)
+      let off i = (i * w) + bw - i in
+      let l = Array.make (n * w) 0. in
+      let row_ptr, col_idx, values = Sparse.csr a in
+      for i = 0 to n - 1 do
+        for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          let j = col_idx.(k) in
+          if j <= i then l.(off i + j) <- values.(k)
+        done
+      done;
+      (* the budget is polled once per block of rows costing about one
+         matvec (the work unit), and each block ticks one unit: a
+         deadline or work cap stops a large factorization mid-way as a
+         construction failure, and the ladder demotes *)
+      let block = Stdlib.max 1 (Sparse.nnz a / Stdlib.max 1 (bw * w / 2)) in
+      let rec factor i =
+        if i >= n then Ok ()
+        else
+          match if i mod block = 0 then Option.bind budget Budget.check else None with
+          | Some v -> Error (Format.asprintf "budget expired (%a)" Budget.pp_verdict v)
+          | None ->
+            let oi = off i and lo = Stdlib.max 0 (i - bw) in
+            for j = lo to i - 1 do
+              let oj = off j in
+              l.(oi + j) <- (l.(oi + j) -. dot l oi l oj lo j) /. l.(oj + j)
+            done;
+            let piv = l.(oi + i) -. dot l oi l oi lo i in
+            if not (piv > 1e-300) then Error (Printf.sprintf "non-positive pivot at row %d" i)
+            else begin
+              l.(oi + i) <- sqrt piv;
+              if (i + 1) mod block = 0 then Option.iter (fun b -> Budget.tick b) budget;
+              factor (i + 1)
+            end
+      in
+      match factor 0 with
+      | Error _ as e -> e
+      | Ok () ->
+        let apply_fn ?pool:_ r =
+          (* forward substitution: L y = r *)
+          let y = Array.make n 0. in
+          for i = 0 to n - 1 do
+            let oi = off i in
+            y.(i) <- (r.(i) -. dot l oi y 0 (Stdlib.max 0 (i - bw)) i) /. l.(oi + i)
+          done;
+          (* backward substitution: L^T z = y, via column saxpy on L's
+             rows (in place on y) *)
+          for i = n - 1 downto 0 do
+            let oi = off i in
+            let zi = y.(i) /. l.(oi + i) in
+            y.(i) <- zi;
+            for k = Stdlib.max 0 (i - bw) to i - 1 do
+              y.(k) <- y.(k) -. (l.(oi + k) *. zi)
+            done
+          done;
+          y
+        in
+        Ok { kind = Chol; dim = n; apply_fn }
     end
   end
 

@@ -1,18 +1,23 @@
 (** Pluggable SPD preconditioners for the Krylov solvers.
 
-    One abstract interface, four constructions, in decreasing order of
+    One abstract interface, five constructions, in decreasing order of
     strength on the library's finite-volume conductance matrices:
 
+    - {!band_cholesky} — the exact Cholesky factor of a narrow band.
+      Inside CG it converges in one or two iterations; it is admitted
+      only when the band is narrow enough that the O(n·bw²) factor
+      costs less than the iterations it saves, which holds for the 2-D
+      unit cell (numbered radius-fastest, so bw = nr) and fails for
+      every 3-D stack.
     - {!mg} — one symmetric geometric-multigrid V-cycle per application
-      (see {!Multigrid}).  Strongest on the structured tensor grids and
-      the only rung whose iteration counts stay near-constant as the
-      grid refines; needs the grid [shape], so it is only available
+      (see {!Multigrid}).  Its iteration counts stay near-constant as
+      the grid refines; needs the grid [shape], so it is only available
       where one is known.  Every kernel it runs is embarrassingly
       parallel, unlike the triangular sweeps below.  Its setup plus
       cycles still cost more wall time than an {!ic0} solve on every
       benchmarked grid, so the solver ladders use it only on request.
     - {!ic0} — incomplete Cholesky with zero fill.  Strongest
-      shape-oblivious option: on the
+      shape-oblivious option on wide bands: on the
       fig5/Table I grids it cuts CG iteration counts by roughly an order
       of magnitude over Jacobi.  Construction can {e break down} (a
       non-positive pivot) on SPD matrices that are not H-matrices; the
@@ -27,16 +32,16 @@
     - {!jacobi} — diagonal scaling.  Weakest, but total: defined for
       every matrix, zero construction cost.
 
-    Applications are deterministic: the triangular sweeps of {!ic0} and
-    {!ssor} are sequential by data dependence (and identical under any
-    pool), and the pooled {!jacobi} scaling is elementwise — so a
-    preconditioned solve takes the same iteration path with or without a
-    domain pool. *)
+    Applications are deterministic: the triangular sweeps of
+    {!band_cholesky}, {!ic0} and {!ssor} are sequential by data
+    dependence (and identical under any pool), and the pooled {!jacobi}
+    scaling is elementwise — so a preconditioned solve takes the same
+    iteration path with or without a domain pool. *)
 
 type t
 
 val name : t -> string
-(** ["mg"], ["ic0"], ["ssor"] or ["jacobi"]. *)
+(** ["chol"], ["mg"], ["ic0"], ["ssor"] or ["jacobi"]. *)
 
 val dim : t -> int
 (** The order of the matrix the preconditioner was built from. *)
@@ -80,9 +85,26 @@ val ic0 :
     as [Error "budget expired (...)"], and the caller demotes exactly as
     for a breakdown.
 
-    Both fallible constructors ({!ic0}, {!ssor}) double as the
-    {!Ttsv_parallel.Fault} ["precond"] chaos site: when armed and fired
-    they return [Error "injected construction fault"]. *)
+    Every fallible constructor ({!band_cholesky}, {!ic0}, {!ssor},
+    {!mg}) doubles as the {!Ttsv_parallel.Fault} ["precond"] chaos site:
+    when armed and fired they return [Error "injected construction
+    fault"]. *)
+
+val band_cholesky : ?budget:Ttsv_parallel.Budget.t -> Sparse.t -> (t, string) result
+(** The exact Cholesky factor [L] of [a]'s band ([a = L Lᵀ]), stored as
+    one flat lower-band array of [n·(bw+1)] floats; each application is
+    one forward and one backward band sweep, O(n·bw).  Meant for the
+    symmetric positive definite conductance matrices: only [a]'s lower
+    triangle is read.
+
+    The band is admitted only when it fits {!Banded.fits} (the direct
+    rung's storage cap) and [bw·bw <= n], which bounds the O(n·bw²)
+    factorization by about [n²/2] multiply-adds.  [Error] when it is not
+    admitted (this costs one O(nnz) bandwidth scan), when the matrix is
+    not square, on a non-positive pivot, when the ["precond"] fault
+    fires, and when [budget] expires: the factorization polls it once
+    per block of rows costing about one matvec, and ticks one work unit
+    per such block. *)
 
 val ic0_shift : t -> float option
 (** The diagonal shift the successful IC(0) factorization used ([0.]

@@ -1,6 +1,6 @@
 module Iterative = Ttsv_numerics.Iterative
 
-type rung = Cg_mg | Cg_ic0 | Cg_ssor | Cg | Bicgstab | Direct
+type rung = Cg_chol | Cg_mg | Cg_ic0 | Cg_ssor | Cg | Bicgstab | Direct
 
 type outcome =
   | Success
@@ -40,6 +40,7 @@ let empty =
   }
 
 let rung_name = function
+  | Cg_chol -> "cg-chol"
   | Cg_mg -> "cg-mg"
   | Cg_ic0 -> "cg-ic0"
   | Cg_ssor -> "cg-ssor"

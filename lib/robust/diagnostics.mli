@@ -8,12 +8,20 @@
     {!Ttsv_fem.Solver3.solve} and the CLI's [--solver-report] flag. *)
 
 type rung =
+  | Cg_chol
+      (** conjugate gradients preconditioned by the exact band Cholesky
+          factor (the default ladder's first rung; converges in one or
+          two iterations, admitted only on narrow bands such as the 2-D
+          unit cell's, see {!Ttsv_numerics.Precond.band_cholesky}) *)
   | Cg_mg
       (** geometric-multigrid-preconditioned conjugate gradients
           (fewest iterations, but slower than [Cg_ic0] in wall time on
           every benchmarked grid; opt-in through
           {!Robust.mg_rungs} and needs a structured-grid shape) *)
-  | Cg_ic0  (** IC(0)-preconditioned conjugate gradients (the default ladder's first rung) *)
+  | Cg_ic0
+      (** IC(0)-preconditioned conjugate gradients (the default ladder's
+          second rung, which answers every wide-band system such as the
+          3-D stack's) *)
   | Cg_ssor  (** SSOR-preconditioned conjugate gradients *)
   | Cg  (** Jacobi-preconditioned conjugate gradients *)
   | Bicgstab  (** Jacobi-preconditioned BiCGStab *)

@@ -1,19 +1,26 @@
 (** The batch solve engine behind [ttsv_cli serve].
 
-    One engine owns three {!Cache} levels, all keyed by the canonical
+    One engine owns two {!Cache} levels, both keyed by the canonical
     {!Protocol.solve_key}:
 
     - {b operators}: assembled CSR conductance matrices with their
       source vector — skips meshing + assembly on a repeated geometry;
-    - {b preconds}: the IC(0) factor of the default ladder's top rung
-      (or a cached "it does not build", which sends the request straight
-      to the {!Ttsv_robust.Robust} ladder).  Multigrid is never built
-      here: its hierarchy setup alone costs more than an IC(0)-CG solve
-      at the served resolutions;
     - {b solutions}: previous temperature fields, used to warm-start
       repeated queries (exact key hit) and nearby ones (freshest
-      dimension-compatible field), which converge in a fraction of the
-      cold-start iterations.
+      dimension-compatible field).
+
+    Every solve is then one {!Ttsv_robust.Robust.solve} on the default
+    ladder, seeded with that field.  An exact hit is accepted there for
+    one matvec, before any preconditioner is built; anything else is
+    answered by the band-Cholesky rung in one or two CG iterations.
+
+    There is no preconditioner cache.  Its entries were never reused: a
+    cold key is distinct by definition, and a repeated key is an exact
+    warm start that needs no preconditioner.  On the repository
+    benchmark's cold-request workload ([serve_cold]), a 32-entry LRU of
+    band factors raised peak RSS to about 66 MiB, against about 42 MiB
+    with the IC(0) factors it used to hold and about 37 MiB with no
+    preconditioner cache at all.
 
     Every request is handled inside a [service.request] span and feeds
     [service.*] metrics; every failure path maps to a typed
@@ -25,14 +32,13 @@ type t
 val create :
   ?pool:Ttsv_parallel.Pool.t ->
   ?operators:int ->
-  ?preconds:int ->
   ?solutions:int ->
   unit ->
   t
 (** [create ()] builds an engine with the given per-level cache
-    capacities (defaults: 32 operators, 32 preconditioner setups, 64
-    solutions).  [pool], when given, shards batches across its domains
-    and parallelizes assembly/solve kernels. *)
+    capacities (defaults: 32 operators, 64 solutions).  [pool], when
+    given, shards batches across its domains and parallelizes
+    assembly/solve kernels. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Handle one request; total (never raises). *)
@@ -54,7 +60,7 @@ val serve : ?batch:int -> t -> in_channel -> out_channel -> int
 
 val cache_stats : t -> (string * (int * int * int)) list
 (** Per-level [(name, (hits, misses, evictions))], in (operator,
-    precond, solution) order. *)
+    solution) order. *)
 
 val hit_rate : t -> float
-(** Pooled hit rate over all three levels; 0 before any lookup. *)
+(** Pooled hit rate over both levels; 0 before any lookup. *)

@@ -86,7 +86,15 @@ type error = {
 
 type warm = Cold | Warm_exact | Warm_neighbour
 
-type cache_info = { operator_hit : bool; precond_hit : bool; warm : warm }
+type cache_info = {
+  operator_hit : bool;
+  precond_hit : bool;
+      (** always [false]: the engine keeps no preconditioner cache any
+          more (see {!Engine}), but the field stays in
+          [ttsv.response.v1] as ["precond"] for schema compatibility —
+          existing clients decode it *)
+  warm : warm;
+}
 (** Which cache levels served this solve — the per-response view of the
     engine's hit counters. *)
 

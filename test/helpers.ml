@@ -26,11 +26,21 @@ let check_raises_invalid msg f =
 
 let test name f = Alcotest.test_case name `Quick f
 
-(* the default solver ladder is IC(0)-first whatever is known about the
-   system: a structured-grid shape never promotes the multigrid rung *)
-let check_default_ladder (d : Ttsv_robust.Diagnostics.t) =
+(* the default solver ladder starts with the exact band factor whatever
+   is known about the system: the 2-D unit cell's narrow band is
+   answered by it, the 3-D stack's wide band is refused at zero cost and
+   IC(0) answers; a structured-grid shape never promotes the multigrid
+   rung *)
+let check_default_ladder ~dims (d : Ttsv_robust.Diagnostics.t) =
   let module D = Ttsv_robust.Diagnostics in
-  Alcotest.(check bool) "answered by cg-ic0" true (d.D.solved_by = Some D.Cg_ic0);
+  (match dims with
+  | `Two -> Alcotest.(check bool) "answered by cg-chol" true (d.D.solved_by = Some D.Cg_chol)
+  | `Three ->
+    Alcotest.(check bool) "answered by cg-ic0" true (d.D.solved_by = Some D.Cg_ic0);
+    Alcotest.(check bool) "after a skipped cg-chol attempt" true
+      (match d.D.attempts with
+      | { D.rung = D.Cg_chol; outcome = D.Skipped _; iterations = 0; _ } :: _ -> true
+      | _ -> false));
   Alcotest.(check bool) "no multigrid attempt" false
     (List.exists (fun (at : D.attempt) -> at.D.rung = D.Cg_mg) d.D.attempts)
 

@@ -334,10 +334,11 @@ let containment_tests =
               d.Diagnostics.attempts
           in
           Alcotest.(check bool) "some rung skipped" true skipped);
-    test "an injected multigrid construction fault degrades to the IC(0) rung" (fun () ->
+    test "an injected multigrid construction fault degrades to the band-Cholesky rung"
+      (fun () ->
         (* seed 0 was probed to make the first precond-site draw (the mg
-           build) fire and the second (the ic0 build) pass, so the opt-in
-           mg rung dies and the default ladder's top rung answers *)
+           build) fire and the second (the band factor) pass, so the
+           opt-in mg rung dies and the default ladder's top rung answers *)
         let stack = Params.fig5_stack (Units.um 1.) in
         let p = Problem.of_stack ~resolution:1 stack in
         let a = Solver.assemble p in
@@ -349,9 +350,9 @@ let containment_tests =
           Alcotest.fail (Format.asprintf "ladder gave up: %a" Robust.pp_failure f)
         | Ok (_, d) ->
           (match d.Diagnostics.solved_by with
-          | Some Diagnostics.Cg_ic0 -> ()
+          | Some Diagnostics.Cg_chol -> ()
           | Some r ->
-            Alcotest.fail ("expected the ic0 rung, got " ^ Diagnostics.rung_name r)
+            Alcotest.fail ("expected the chol rung, got " ^ Diagnostics.rung_name r)
           | None -> Alcotest.fail "no rung recorded");
           (match d.Diagnostics.attempts with
           | { Diagnostics.rung = Diagnostics.Cg_mg;
@@ -362,6 +363,35 @@ let containment_tests =
             Alcotest.(check string)
               "skip reason" "mg: injected construction fault" why
           | _ -> Alcotest.fail "first attempt was not a skipped multigrid rung"));
+    test "an injected fault fails the band-Cholesky construction" (fun () ->
+        let a, _ = fixed_system 150 in
+        with_spec "precond=1:31" @@ fun () ->
+        match Ttsv_numerics.Precond.band_cholesky a with
+        | Error why -> Alcotest.(check string) "reason" "injected construction fault" why
+        | Ok _ -> Alcotest.fail "expected the injected construction fault");
+    test "an exact warm start returns before any preconditioner is built" (fun () ->
+        (* every precond-site draw fires: had any rung tried to build its
+           preconditioner, the attempt list would show a Skipped rung *)
+        let a, rhs = fixed_system 150 in
+        let x =
+          with_disarmed (fun () ->
+              match Robust.solve ~tol:1e-12 a rhs with
+              | Ok (x, _) -> x
+              | Error f -> Alcotest.failf "reference solve: %a" Robust.pp_failure f)
+        in
+        with_spec "precond=1:37" @@ fun () ->
+        match Robust.solve ~tol:1e-10 ~x0:x a rhs with
+        | Error f -> Alcotest.failf "warm solve failed: %a" Robust.pp_failure f
+        | Ok (x', d) ->
+          Alcotest.(check int) "zero iterations" 0 d.Diagnostics.iterations;
+          Alcotest.(check (array (float 0.))) "the warm start is the answer" x x';
+          (match d.Diagnostics.attempts with
+          | [ { Diagnostics.rung; outcome = Diagnostics.Success; iterations = 0; _ } ] ->
+            Alcotest.(check bool) "credited to the head rung" true
+              (rung = List.hd Robust.default_rungs)
+          | _ -> Alcotest.fail "expected exactly one successful attempt");
+          Alcotest.(check bool) "solved_by the head rung" true
+            (d.Diagnostics.solved_by = Some (List.hd Robust.default_rungs)));
     test "a work budget expiring mid-V-cycle is a typed Deadline_exceeded" (fun () ->
         (* 50 work units let the hierarchy build and a few CG+V-cycle
            iterations complete, then the cycle's own matvec ticks

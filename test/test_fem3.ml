@@ -156,7 +156,7 @@ let solver_tests =
         let fmax = Array.fold_left Float.max 0. field in
         close_rel ~tol:0.2 "top row holds (nearly) the max" (Solver3.max_rise r) fmax);
     test "Solver3.solve without rungs is answered by IC(0), never multigrid" (fun () ->
-        check_default_ladder
+        check_default_ladder ~dims:`Three
           (Solver3.solve (Problem3.of_stack (small_stack ()))).Solver3.diagnostics);
   ]
 

@@ -1,7 +1,9 @@
 (* Preconditioner correctness: IC(0)/SSOR-preconditioned CG agrees with
    the dense direct solve on the paper's Table I grids, preconditioning
-   never costs iterations on random SPD systems, and IC(0) breakdown
-   retries with growing diagonal shifts instead of giving up. *)
+   never costs iterations on random SPD systems, IC(0) breakdown
+   retries with growing diagonal shifts instead of giving up, and the
+   band Cholesky factor is an exact solve that is admitted only on
+   narrow bands. *)
 
 module Vec = Ttsv_numerics.Vec
 module Sparse = Ttsv_numerics.Sparse
@@ -12,6 +14,8 @@ module Units = Ttsv_physics.Units
 module Params = Ttsv_core.Params
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
+module Budget = Ttsv_parallel.Budget
+module Diagnostics = Ttsv_robust.Diagnostics
 open Helpers
 
 let get_ok what = function
@@ -180,6 +184,136 @@ let test_cg_precond_dimension_mismatch () =
   check_raises_invalid "cg rejects mismatched preconditioner" (fun () ->
       Iterative.cg ~precond:m a (Array.make 6 1.))
 
+(* --- band Cholesky ---------------------------------------------------------- *)
+
+(* a random symmetric strictly diagonally dominant (so SPD) matrix of
+   half-bandwidth exactly [bw], with bw*bw <= n so the factor admits it *)
+let gen_banded_system =
+  let open QCheck2.Gen in
+  let* n = int_range 5 80 in
+  let admitted bw = bw * bw <= n && (2 * bw) + 1 < n in
+  let rec max_bw bw = if admitted (bw + 1) then max_bw (bw + 1) else bw in
+  let max_bw = max_bw 1 in
+  let* bw = int_range 1 max_bw in
+  let* offs = array_size (return (n * bw)) (float_range 0.05 1.) in
+  let* signs = array_size (return (n * bw)) bool in
+  let* b = gen_vec n in
+  let builder = Sparse.builder n n in
+  let row_abs = Array.make n 0. in
+  for i = 0 to n - 1 do
+    for d = 1 to Stdlib.min bw i do
+      let k = (i * bw) + d - 1 in
+      let v = if signs.(k) then offs.(k) else -.offs.(k) in
+      Sparse.add builder i (i - d) v;
+      Sparse.add builder (i - d) i v;
+      row_abs.(i) <- row_abs.(i) +. Float.abs v;
+      row_abs.(i - d) <- row_abs.(i - d) +. Float.abs v
+    done
+  done;
+  Array.iteri (fun i s -> Sparse.add builder i i (s +. 0.5)) row_abs;
+  return (bw, Sparse.finalize builder, b)
+
+let prop_band_cholesky_exact (bw, a, b) =
+  if Sparse.bandwidth a <> bw then
+    QCheck2.Test.fail_reportf "bandwidth %d, expected %d" (Sparse.bandwidth a) bw;
+  let m = get_ok "chol" (Precond.band_cholesky a) in
+  let exact = Dense.solve (Sparse.to_dense a) b in
+  let x = Precond.apply m b in
+  let diff = Vec.norm_inf (Vec.sub x exact) /. Float.max 1e-300 (Vec.norm_inf exact) in
+  if diff > 1e-12 then QCheck2.Test.fail_reportf "relative difference %.3g" diff;
+  Precond.name m = "chol"
+
+let expect_refused what a =
+  match Precond.band_cholesky a with
+  | Error why ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s refused as too wide: %s" what why)
+      true
+      (String.length why >= 13 && String.sub why 0 13 = "band too wide")
+  | Ok _ -> Alcotest.failf "%s: expected the band to be refused" what
+
+let test_band_cholesky_refuses_3d () =
+  (* a small 3-D stack operator: numbered x-fastest, its half-bandwidth
+     is a whole layer (nx*ny), whose square exceeds the order *)
+  let stack = Params.block ~r:(Units.um 5.) () in
+  let p3 = Ttsv_fem.Problem3.of_stack ~resolution:1 stack in
+  let a = Ttsv_fem.Solver3.assemble p3 in
+  let n = Sparse.rows a and bw = Sparse.bandwidth a in
+  Alcotest.(check bool)
+    (Printf.sprintf "bw^2 = %d exceeds n = %d" (bw * bw) n)
+    true (bw * bw > n);
+  expect_refused "Solver3 operator" a;
+  (* the 3-D resolution-1 stack's band shape (nx*ny = 2304 per layer) *)
+  let layer = 2304 and nz = 65 in
+  let n = layer * nz in
+  let builder = Sparse.builder n n in
+  for i = 0 to n - 1 do
+    Sparse.add builder i i 6.;
+    if i >= layer then begin
+      Sparse.add builder i (i - layer) (-1.);
+      Sparse.add builder (i - layer) i (-1.)
+    end
+  done;
+  expect_refused "3-D res1-shaped band" (Sparse.finalize builder)
+
+let test_band_cholesky_indefinite () =
+  (* pivot 2: 1 - 3^2 / 1 < 0 *)
+  let a =
+    sparse_of_dense
+      [| [| 1.; 3.; 0.; 0. |]; [| 3.; 1.; 3.; 0. |]; [| 0.; 3.; 1.; 3. |]; [| 0.; 0.; 3.; 1. |] |]
+  in
+  match Precond.band_cholesky a with
+  | Error why ->
+    Alcotest.(check string) "reason" "non-positive pivot at row 1" why
+  | Ok _ -> Alcotest.fail "expected a non-positive pivot"
+
+let test_band_cholesky_budget_mid_factor () =
+  (* a deterministic work cap: the factor ticks one unit per block of
+     rows (about a matvec of work), so a cap of 3 lets exactly three
+     blocks through and stops the factorization at the fourth poll *)
+  let p = Problem.of_stack (Params.block ~r:(Units.um 5.) ()) in
+  let a = Solver.assemble p in
+  let budget = Budget.make ~max_work:3 () in
+  (match Precond.band_cholesky ~budget a with
+  | Error why ->
+    Alcotest.(check string) "reason" "budget expired (work budget exhausted)" why
+  | Ok _ -> Alcotest.fail "expected the work cap to stop the factorization");
+  Alcotest.(check int) "three blocks factored before the poll that stopped it" 3
+    (Budget.work_spent budget);
+  (* the full factorization takes more than three blocks: it really was
+     stopped mid-way *)
+  let unlimited = Budget.make ~max_work:max_int () in
+  ignore (get_ok "chol" (Precond.band_cholesky ~budget:unlimited a));
+  Alcotest.(check bool)
+    (Printf.sprintf "an unlimited run ticks %d > 3 units" (Budget.work_spent unlimited))
+    true
+    (Budget.work_spent unlimited > 3)
+
+let test_band_cholesky_fv_default () =
+  (* the default ladder on the 2-D unit cell: the band-Cholesky rung
+     converges in at most two iterations and agrees with IC(0)-CG *)
+  let stack = Params.block ~r:(Units.um 5.) () in
+  List.iter
+    (fun resolution ->
+      let p = Problem.of_stack ~resolution stack in
+      let chol = Solver.solve p in
+      let ic0 = Solver.solve ~rungs:[ Diagnostics.Cg_ic0 ] p in
+      Alcotest.(check bool)
+        (Printf.sprintf "resolution %d answered by cg-chol" resolution)
+        true
+        (chol.Solver.diagnostics.Diagnostics.solved_by = Some Diagnostics.Cg_chol);
+      Alcotest.(check bool)
+        (Printf.sprintf "resolution %d: %d iterations <= 2" resolution chol.Solver.iterations)
+        true (chol.Solver.iterations <= 2);
+      let diff =
+        Vec.norm_inf (Vec.sub chol.Solver.temps ic0.Solver.temps)
+        /. Vec.norm_inf ic0.Solver.temps
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "resolution %d matches IC(0)-CG (rel diff %.3g)" resolution diff)
+        true (diff <= 1e-8))
+    [ 1; 2; 3; 4 ]
+
 let suite =
   ( "precond",
     [
@@ -197,4 +331,12 @@ let suite =
       test "SSOR reports a zero diagonal" test_ssor_zero_diagonal;
       test "apply rejects dimension mismatch" test_apply_dimension_mismatch;
       test "cg rejects mismatched preconditioner" test_cg_precond_dimension_mismatch;
+      qtest ~count:100 "band Cholesky apply matches the dense solve on random SPD bands"
+        gen_banded_system prop_band_cholesky_exact;
+      test "band Cholesky refuses 3-D stack bands" test_band_cholesky_refuses_3d;
+      test "band Cholesky reports a non-positive pivot" test_band_cholesky_indefinite;
+      test "band Cholesky stops mid-factor when the budget expires"
+        test_band_cholesky_budget_mid_factor;
+      test "default FV solves take <= 2 band-Cholesky CG iterations"
+        test_band_cholesky_fv_default;
     ] )

@@ -71,9 +71,9 @@ let ladder_tests =
           matches_direct "matches LU" m b x;
           Alcotest.(check bool) "not solved by plain Jacobi-CG" true
             (d.Diagnostics.solved_by <> Some Diagnostics.Cg);
-          Alcotest.(check bool) "ladder starts at IC(0)-CG" true
+          Alcotest.(check bool) "ladder starts at the default ladder's head" true
             (match d.Diagnostics.attempts with
-            | first :: _ -> first.Diagnostics.rung = Diagnostics.Cg_ic0
+            | first :: _ -> first.Diagnostics.rung = List.hd Robust.default_rungs
             | [] -> false));
     test "a failed rung keeps its own convergence history after escalation" (fun () ->
         (* per-attempt conv must survive escalation: the losing rung's
@@ -111,15 +111,17 @@ let ladder_tests =
           matches_direct "matches LU" m b x;
           Alcotest.(check bool) "solved by the direct rung" true
             (d.Diagnostics.solved_by = Some Diagnostics.Direct);
-          Alcotest.(check int) "all five rungs attempted" 5
+          Alcotest.(check int) "every rung attempted"
+            (List.length Robust.default_rungs)
             (List.length d.Diagnostics.attempts);
-          (* the matrix has no stored diagonal: both preconditioner
-             constructions must fail closed as Skipped, costing zero
-             iterations, rather than dividing by zero *)
+          (* the matrix has no stored diagonal (and is too small for a
+             band factor): every preconditioner construction must fail
+             closed as Skipped, costing zero iterations, rather than
+             dividing by zero *)
           List.iter
             (fun a ->
               match a.Diagnostics.rung with
-              | Diagnostics.Cg_ic0 | Diagnostics.Cg_ssor ->
+              | Diagnostics.Cg_chol | Diagnostics.Cg_ic0 | Diagnostics.Cg_ssor ->
                 Alcotest.(check bool)
                   (Diagnostics.rung_name a.Diagnostics.rung ^ " skipped with 0 iterations")
                   true
@@ -199,14 +201,15 @@ let ladder_tests =
           Alcotest.(check bool) "best iterate retained" true (f.Robust.best <> None);
           Alcotest.(check bool) "its residual is finite" true
             (Float.is_finite f.Robust.best_residual));
-    qtest ~count:30 "SPD fast path: IC(0)-CG alone, one successful attempt" (gen_spd_system 12)
+    qtest ~count:30 "SPD fast path: band-Cholesky CG alone, one successful attempt"
+      (gen_spd_system 12)
       (fun (m, b) ->
         match Robust.solve ~tol:1e-10 m b with
         | Error _ -> false
         | Ok (x, d) ->
           let exact = Dense.solve (Sparse.to_dense m) b in
           Vec.approx_equal ~rtol:1e-6 ~atol:1e-8 x exact
-          && d.Diagnostics.solved_by = Some Diagnostics.Cg_ic0
+          && d.Diagnostics.solved_by = Some Diagnostics.Cg_chol
           && List.length d.Diagnostics.attempts = 1
           && (List.hd d.Diagnostics.attempts).Diagnostics.outcome = Diagnostics.Success);
     test "on_iterate observes every iteration the ladder spends" (fun () ->
@@ -300,14 +303,15 @@ let fem_failure_tests =
 let default_ladder_tests =
   let fig5_problem () = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
   [
-    test "Solver.solve without rungs is answered by IC(0), never multigrid" (fun () ->
-        check_default_ladder (Solver.solve (fig5_problem ())).Solver.diagnostics);
+    test "Solver.solve without rungs is answered by the band factor, never multigrid"
+      (fun () ->
+        check_default_ladder ~dims:`Two (Solver.solve (fig5_problem ())).Solver.diagnostics);
     test "Robust.solve with a shape and no rungs runs the default ladder" (fun () ->
         let p = fig5_problem () in
         let g = p.Problem.grid in
         let shape = [| Ttsv_fem.Grid.nr g; Ttsv_fem.Grid.nz g |] in
         match Robust.solve ~shape (Solver.assemble p) p.Problem.source with
-        | Ok (_, d) -> check_default_ladder d
+        | Ok (_, d) -> check_default_ladder ~dims:`Two d
         | Error f -> Alcotest.failf "solve failed: %a" Robust.pp_failure f);
   ]
 

@@ -202,16 +202,19 @@ let engine_tests =
         Alcotest.(check bool) "cold operator miss" true (not cold.P.cache.P.operator_hit);
         let warm = expect_solved (Engine.handle engine req) in
         Alcotest.(check bool) "operator hit" true warm.P.cache.P.operator_hit;
-        Alcotest.(check bool) "precond hit" true warm.P.cache.P.precond_hit;
+        Alcotest.(check bool) "no precond cache" false warm.P.cache.P.precond_hit;
         Alcotest.(check bool) "exact warm start" true (warm.P.cache.P.warm = P.Warm_exact);
         Alcotest.(check int) "zero iterations" 0 warm.P.iterations;
+        Alcotest.(check string) "credited to the ladder's head" "cg-chol" warm.P.rung;
         close "same answer" cold.P.max_rise_k warm.P.max_rise_k);
-    test "a served solve is answered by the IC(0) rung" (fun () ->
+    test "a served solve is answered by the band-Cholesky rung" (fun () ->
         let engine = Engine.create () in
         let cold = expect_solved (Engine.handle engine (solve_request ())) in
-        Alcotest.(check string) "cold rung" "cg-ic0" cold.P.rung;
+        Alcotest.(check string) "cold rung" "cg-chol" cold.P.rung;
+        Alcotest.(check bool) "in at most two iterations" true (cold.P.iterations <= 2);
+        Alcotest.(check bool) "precond never cached" false cold.P.cache.P.precond_hit;
         let warm = expect_solved (Engine.handle engine (solve_request ())) in
-        Alcotest.(check string) "warm rung" "cg-ic0" warm.P.rung);
+        Alcotest.(check string) "warm rung" "cg-chol" warm.P.rung);
     test "a nearby geometry warm-starts from the freshest solution" (fun () ->
         let engine = Engine.create () in
         let a = expect_solved (Engine.handle engine (solve_request ~radius_um:5. ())) in
