@@ -117,6 +117,31 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The median sample of each entry of [measures], each sampled up to
+   [bench_samples] times or until [bench_sample_s] seconds are spent on
+   it.  A sub-second solve on a shared host spreads by a third between
+   runs, so cheap entries are sampled many times, and the entries'
+   samples are interleaved so a slow phase of the host hits every entry
+   alike; multi-second solves are timed once. *)
+let bench_samples = 25
+let bench_sample_s = 2.
+
+let interleaved_medians ~wall measures =
+  let samples = Array.map (fun measure -> [ measure () ]) measures in
+  let live i =
+    List.length samples.(i) < bench_samples
+    && List.fold_left (fun acc m -> acc +. wall m) 0. samples.(i) < bench_sample_s
+  in
+  let indices = List.init (Array.length measures) Fun.id in
+  while List.exists live indices do
+    List.iter (fun i -> if live i then samples.(i) <- measures.(i) () :: samples.(i)) indices
+  done;
+  Array.map
+    (fun ms ->
+      let sorted = List.sort (fun a b -> Float.compare (wall a) (wall b)) ms in
+      List.nth sorted (List.length sorted / 2))
+    samples
+
 (* each artefact maps a pool to its iteration count (0 when meaningless) *)
 let parallel_artefacts () =
   let stack = Params.fig5_stack (Units.um 1.) in
@@ -169,6 +194,10 @@ let json_of_results results =
   Buffer.add_string buf "  \"bench\": \"parallel\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ()));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"wall\": \"median of up to %d interleaved samples, %.0f s per domain count\",\n"
+       bench_samples bench_sample_s);
   Buffer.add_string buf "  \"artefacts\": [\n";
   List.iteri
     (fun i r ->
@@ -193,18 +222,26 @@ let run_parallel () =
     List.map
       (fun (artefact, f) ->
         Format.fprintf ppf "@.%s:@." artefact;
-        let runs =
-          List.map
-            (fun domains ->
+        (* one pool per sample, alive only while it is timed: idle pools
+           left running would join every stop-the-world minor GC *)
+        let measure domains =
+          let pool = Pool.create ~domains () in
+          Fun.protect
+            ~finally:(fun () -> Pool.shutdown pool)
+            (fun () ->
+              Gc.compact ();
               Obs_metrics.reset ();
-              let pool = Pool.create ~domains () in
-              let iterations, wall_s =
-                Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-                    time (fun () -> f (Some pool)))
-              in
+              let iterations, wall_s = time (fun () -> f (Some pool)) in
               let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
               { domains; wall_s; iterations; phases })
-            bench_domains
+        in
+        (* medians, so [obs_check bench] can gate the 2-domain fv solve
+           against the 1-domain one *)
+        let runs =
+          Array.to_list
+            (interleaved_medians
+               ~wall:(fun r -> r.wall_s)
+               (Array.of_list (List.map (fun d () -> measure d) bench_domains)))
         in
         let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
         List.iter
@@ -385,16 +422,9 @@ let multigrid_preconds =
 
 let multigrid_preconds_2d = multigrid_preconds @ [ ("chol", Some [ Diagnostics.Cg_chol ]) ]
 
-(* A preconditioner's wall time (and phase breakdown) is the median
-   sample of up to [multigrid_samples] solves, sampling stopping once
-   [multigrid_sample_s] seconds are spent on it.  The auto gate compares
-   two entries doing the same IC(0) work, and a sub-second solve on a
-   shared host spreads by a third between runs, so the cheap entries
-   are sampled many times, the samples of a size are interleaved (a
-   slow phase of the host hits every entry alike), and each starts from
-   a compacted heap; the multi-second 3-D solves are timed once. *)
-let multigrid_samples = 25
-let multigrid_sample_s = 2.
+(* A preconditioner's wall time (and phase breakdown) is the median of
+   [interleaved_medians] samples, each from a compacted heap: the auto
+   gate compares two entries doing the same work. *)
 
 (* per preconditioner: (iterations, wall seconds, span phase breakdown)
    — the phases separate mg's one-time hierarchy setup (mg.setup) from
@@ -499,27 +529,12 @@ let run_multigrid () =
                 ncells := c;
                 (iters, wall_s, phases_of_snapshot (Obs_metrics.snapshot ()))
               in
-              let entries = Array.of_list preconds in
-              let indices = List.init (Array.length entries) Fun.id in
-              let samples = Array.map (fun e -> [ measure e ]) entries in
-              let wall (_, w, _) = w in
-              let live i =
-                List.length samples.(i) < multigrid_samples
-                && List.fold_left (fun acc m -> acc +. wall m) 0. samples.(i)
-                   < multigrid_sample_s
+              let medians =
+                interleaved_medians
+                  ~wall:(fun (_, w, _) -> w)
+                  (Array.of_list (List.map (fun e () -> measure e) preconds))
               in
-              while List.exists live indices do
-                Array.iteri
-                  (fun i e -> if live i then samples.(i) <- measure e :: samples.(i))
-                  entries
-              done;
-              let median ms =
-                let sorted = List.sort (fun a b -> Float.compare (wall a) (wall b)) ms in
-                List.nth sorted (List.length sorted / 2)
-              in
-              let by_rung =
-                List.mapi (fun i (pname, _) -> (pname, median samples.(i))) preconds
-              in
+              let by_rung = List.mapi (fun i (pname, _) -> (pname, medians.(i))) preconds in
               let cells = !ncells in
               Format.fprintf ppf "  resolution=%d  cells=%-8d %s@." res cells
                 (String.concat "  "

@@ -13,10 +13,13 @@
      obs_check hitrate TRACE.jsonl MIN_RATE
 
    [validate] exits 1 on the first malformed line — and, when MIN_DEPTH
-   is given, when no span nests that deep.  [bench] only prints
-   warnings and always exits 0: phase sums are measured under domain
-   scheduling noise, so a mismatch is a signal to look at, not a CI
-   failure.  [precond] is a CI gate: it exits 1 unless IC(0)-CG needs
+   is given, when no span nests that deep.  [bench] is the pooled gate:
+   it exits 1 when the solve_fv_fig5 artefact's 2-domain median wall
+   time exceeds its 1-domain median, and prints a skip instead when the
+   file was recorded on a host with fewer than two domains.  Its phase
+   checks only warn: phase sums are measured under domain scheduling
+   noise, so a mismatch is a signal to look at, not a CI failure.
+   [precond] is a CI gate: it exits 1 unless IC(0)-CG needs
    strictly fewer than half the Jacobi-CG iterations on every artefact —
    iteration counts are deterministic, so this check is noise-free.
    [multigrid] is the mesh-independence and default-speed gate: it
@@ -262,7 +265,41 @@ let bench path =
           | _ -> warn "%s: malformed run entry" name)
         runs)
     artefacts;
-  Printf.printf "%s: checked %d runs (warnings, if any, are non-blocking)\n" path !checked
+  Printf.printf "%s: checked %d runs (phase warnings, if any, are non-blocking)\n" path
+    !checked;
+  (* the pooled gate: a pool of two domains must not make the paper's
+     reference solve slower than one domain does.  Only this artefact is
+     gated: fig5_sweep at 4 domains oversubscribes a 2-core host until
+     the pool's domain cap follows the real core count *)
+  let gated = "solve_fv_fig5" in
+  match Option.bind (field "host_domains" j) Json.to_int_opt with
+  | Some h when h < 2 ->
+    Printf.printf "%s: SKIP pooled gate (recorded with host_domains %d < 2)\n" path h
+  | None -> fail "%s: no host_domains" path
+  | Some _ -> (
+    let wall_at d =
+      List.find_map
+        (fun art ->
+          if Option.bind (field "name" art) Json.to_string_opt <> Some gated then None
+          else
+            match field "runs" art with
+            | Some (Json.List runs) ->
+              List.find_map
+                (fun run ->
+                  if Option.bind (field "domains" run) Json.to_int_opt = Some d then
+                    Option.bind (field "wall_s" run) Json.to_float_opt
+                  else None)
+                runs
+            | _ -> None)
+        artefacts
+    in
+    match (wall_at 1, wall_at 2) with
+    | Some w1, Some w2 when w2 <= w1 ->
+      Printf.printf "%s: %s 2-domain %.6f s <= 1-domain %.6f s (%.2fx): ok\n" path gated w2
+        w1 (w1 /. w2)
+    | Some w1, Some w2 ->
+      fail "%s: %s 2-domain median %.6f s exceeds the 1-domain %.6f s" path gated w2 w1
+    | _ -> fail "%s: no %s runs at 1 and 2 domains" path gated)
 
 (* ----------------------------------------------------------------- precond *)
 

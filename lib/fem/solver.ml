@@ -35,13 +35,14 @@ type result = {
    internal face of area [a]. *)
 let face_conductance a d1 k1 d2 k2 = a /. ((d1 /. k1) +. (d2 /. k2))
 
-(* Row-direct CSR assembly: each matrix row is built independently —
-   neighbour columns in ascending order, the diagonal accumulated in a
-   fixed (-z, -r, +r, +z, boundary, extra) order — so rows can be filled
-   per-chunk across a domain pool and the pooled matrix is bitwise
-   identical to the sequential one.  Face conductances are evaluated in a
-   canonical (lower-index) orientation, so the two rows sharing a face
-   store exactly opposite off-diagonal values. *)
+(* Row-direct CSR assembly: each face conductance is evaluated once, in
+   a canonical (lower-index) orientation, into per-face arrays, so the
+   two rows sharing a face store exactly opposite off-diagonal values;
+   then each matrix row is built independently — neighbour columns in
+   ascending order, the diagonal accumulated in a fixed (-z, -r, +r, +z,
+   boundary, extra) order.  Both passes write disjoint slots, so they
+   can be filled per-chunk across a domain pool and the pooled matrix
+   is bitwise identical to the sequential one. *)
 let assemble_rows ?pool ?bottom_h ?extra_diagonal (p : Problem.t) =
   let g = p.Problem.grid in
   let nr = Grid.nr g and nz = Grid.nz g in
@@ -53,30 +54,44 @@ let assemble_rows ?pool ?bottom_h ?extra_diagonal (p : Problem.t) =
   (match bottom_h with
   | Some h when h <= 0. -> invalid_arg "Solver.solve: bottom_h must be positive"
   | Some _ | None -> ());
-  let k ir iz = p.Problem.conductivity.(Grid.index g ir iz) in
-  let cond_r ir iz =
-    face_conductance (Grid.radial_face_area g ir iz)
-      (0.5 *. Grid.dr g ir)
-      (k ir iz)
-      (0.5 *. Grid.dr g (ir + 1))
-      (k (ir + 1) iz)
+  let each body =
+    match pool with
+    | None ->
+      for idx = 0 to n - 1 do
+        body idx
+      done
+    | Some pool -> Ttsv_parallel.Pool.parallel_for ~chunk:64 ~min_size:256 pool n body
   in
-  let cond_z ir iz =
-    face_conductance (Grid.axial_face_area g ir)
-      (0.5 *. Grid.dz g iz)
-      (k ir iz)
-      (0.5 *. Grid.dz g (iz + 1))
-      (k ir (iz + 1))
-  in
-  (* bottom boundary: isothermal sink across the half cell, or a
-     convective film in series with it *)
-  let bottom_cond ir =
-    let a = Grid.axial_face_area g ir in
-    let half_cell = 0.5 *. Grid.dz g 0 /. (a *. k ir 0) in
-    match bottom_h with
-    | None -> 1. /. half_cell
-    | Some h -> 1. /. (half_cell +. (1. /. (h *. a)))
-  in
+  (* cell idx = (ir, iz) owns the face to its +r neighbour in [gr], the
+     one to its +z neighbour in [gz] and, in the bottom layer, its
+     boundary conductance in [gb]: the isothermal sink across the half
+     cell, or a convective film in series with it *)
+  let k = p.Problem.conductivity in
+  let gr = Array.make n 0. and gz = Array.make n 0. and gb = Array.make nr 0. in
+  each (fun idx ->
+      let ir = idx mod nr and iz = idx / nr in
+      if ir < nr - 1 then
+        gr.(idx) <-
+          face_conductance (Grid.radial_face_area g ir iz)
+            (0.5 *. Grid.dr g ir)
+            k.(idx)
+            (0.5 *. Grid.dr g (ir + 1))
+            k.(idx + 1);
+      if iz < nz - 1 then
+        gz.(idx) <-
+          face_conductance (Grid.axial_face_area g ir)
+            (0.5 *. Grid.dz g iz)
+            k.(idx)
+            (0.5 *. Grid.dz g (iz + 1))
+            k.(idx + nr);
+      if iz = 0 then begin
+        let a = Grid.axial_face_area g ir in
+        let half_cell = 0.5 *. Grid.dz g 0 /. (a *. k.(idx)) in
+        gb.(ir) <-
+          (match bottom_h with
+          | None -> 1. /. half_cell
+          | Some h -> 1. /. (half_cell +. (1. /. (h *. a))))
+      end);
   let row_ptr = Array.make (n + 1) 0 in
   for idx = 0 to n - 1 do
     let ir = idx mod nr and iz = idx / nr in
@@ -93,33 +108,44 @@ let assemble_rows ?pool ?bottom_h ?extra_diagonal (p : Problem.t) =
   done;
   let col_idx = Array.make row_ptr.(n) 0 in
   let values = Array.make row_ptr.(n) 0. in
-  let fill_row idx =
-    let ir = idx mod nr and iz = idx / nr in
-    let pos = ref row_ptr.(idx) in
-    let diag = ref 0. in
-    let off j c =
-      col_idx.(!pos) <- j;
-      values.(!pos) <- -.c;
+  (* no closure captures [diag], so it stays an unboxed float *)
+  each (fun idx ->
+      let ir = idx mod nr and iz = idx / nr in
+      let pos = ref row_ptr.(idx) in
+      let diag = ref 0. in
+      if iz > 0 then begin
+        let c = gz.(idx - nr) in
+        col_idx.(!pos) <- idx - nr;
+        values.(!pos) <- -.c;
+        incr pos;
+        diag := !diag +. c
+      end;
+      if ir > 0 then begin
+        let c = gr.(idx - 1) in
+        col_idx.(!pos) <- idx - 1;
+        values.(!pos) <- -.c;
+        incr pos;
+        diag := !diag +. c
+      end;
+      let dslot = !pos in
+      col_idx.(dslot) <- idx;
       incr pos;
-      diag := !diag +. c
-    in
-    if iz > 0 then off (idx - nr) (cond_z ir (iz - 1));
-    if ir > 0 then off (idx - 1) (cond_r (ir - 1) iz);
-    let dslot = !pos in
-    col_idx.(dslot) <- idx;
-    incr pos;
-    if ir < nr - 1 then off (idx + 1) (cond_r ir iz);
-    if iz < nz - 1 then off (idx + nr) (cond_z ir iz);
-    if iz = 0 then diag := !diag +. bottom_cond ir;
-    (match extra_diagonal with None -> () | Some d -> diag := !diag +. d.(idx));
-    values.(dslot) <- !diag
-  in
-  (match pool with
-  | None ->
-    for idx = 0 to n - 1 do
-      fill_row idx
-    done
-  | Some pool -> Ttsv_parallel.Pool.parallel_for ~chunk:64 ~min_size:256 pool n fill_row);
+      if ir < nr - 1 then begin
+        let c = gr.(idx) in
+        col_idx.(!pos) <- idx + 1;
+        values.(!pos) <- -.c;
+        incr pos;
+        diag := !diag +. c
+      end;
+      if iz < nz - 1 then begin
+        let c = gz.(idx) in
+        col_idx.(!pos) <- idx + nr;
+        values.(!pos) <- -.c;
+        diag := !diag +. c
+      end;
+      if iz = 0 then diag := !diag +. gb.(ir);
+      (match extra_diagonal with None -> () | Some d -> diag := !diag +. d.(idx));
+      values.(dslot) <- !diag);
   Sparse.of_csr ~nrows:n ~ncols:n ~row_ptr ~col_idx ~values
 
 let assemble ?pool ?bottom_h ?extra_diagonal p =
@@ -157,9 +183,10 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?b
     let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 2000 (40 * n) in
     (* Grid.index numbers ir fastest, so the operator's half-bandwidth
        is nr = 15 * resolution: the default ladder's band-Cholesky rung
-       factors it exactly in n*nr^2/2 multiply-adds, less than the
-       60-400 IC(0)-CG iterations it replaces at every resolution, and
-       CG then converges in one or two iterations.  The shape declares
+       factors it exactly in n*nr^2/2 multiply-adds, split into two
+       halves that run on two domains when [pool] has them, less than
+       the 60-400 IC(0)-CG iterations it replaces at every resolution,
+       and CG then converges in one or two iterations.  The shape declares
        that layout for a multigrid rung requested through [rungs]; the
        default ladder never tops itself with mg, which loses to IC(0) on
        wall-clock at every benchmarked size (BENCH_multigrid.json) *)

@@ -43,7 +43,7 @@ let mat_vec m x =
   if Array.length x <> m.n then invalid_arg "Banded.mat_vec: dimension mismatch";
   Array.init m.n (fun i ->
       let acc = ref 0. in
-      let jlo = Stdlib.max 0 (i - m.bw) and jhi = Stdlib.min (m.n - 1) (i + m.bw) in
+      let jlo = Int.max 0 (i - m.bw) and jhi = Int.min (m.n - 1) (i + m.bw) in
       for j = jlo to jhi do
         acc := !acc +. (get m i j *. x.(j))
       done;
@@ -58,11 +58,11 @@ let solve m0 b =
   for k = 0 to n - 1 do
     let pivot = get a k k in
     if Float.abs pivot < 1e-300 then raise Dense.Singular;
-    let ihi = Stdlib.min (n - 1) (k + bw) in
+    let ihi = Int.min (n - 1) (k + bw) in
     for i = k + 1 to ihi do
       let factor = get a i k /. pivot in
       if factor <> 0. then begin
-        let jhi = Stdlib.min (n - 1) (k + bw) in
+        let jhi = Int.min (n - 1) (k + bw) in
         for j = k to jhi do
           add_to a i j (-.factor *. get a k j)
         done;
@@ -73,7 +73,7 @@ let solve m0 b =
   (* back substitution *)
   for i = n - 1 downto 0 do
     let acc = ref x.(i) in
-    let jhi = Stdlib.min (n - 1) (i + bw) in
+    let jhi = Int.min (n - 1) (i + bw) in
     for j = i + 1 to jhi do
       acc := !acc -. (get a i j *. x.(j))
     done;

@@ -266,22 +266,108 @@ let[@inline] dot x ox y oy lo hi =
   done;
   !s0 +. !s1 +. (!s2 +. !s3)
 
-(* Exact Cholesky factor of a narrow band, A = L L^T, in one flat array
-   of n rows of bw+1 entries: L[i,j] (i-bw <= j <= i) lives at
-   i*(bw+1) + bw - i + j, so row i's band is contiguous and its
-   diagonal is the row's last entry.  No fill escapes the band, so the
-   factor is exact; rows are produced in order,
+(* The split factor's two outer parts.  In a band of half-bandwidth bw
+   the bw rows [m, m+bw) separate [0, m) from [m+bw, n), so the lower
+   part is factored in ascending order and the upper part in descending
+   order, each as an independent band: both then couple to the
+   separator only through their last bw rows.  A part's local row i is
+   global row [first + step*i]; its array holds q = p + s rows of bw+1
+   entries, L[i,j] (i-bw <= j <= i) at i*(bw+1) + bw - i + j, so a row's
+   band is contiguous and its diagonal is the row's last entry.  Rows
+   [0, p) are the part's own Cholesky factor; rows [p, q) are the s
+   separator rows, whose columns < p become the coupling block W of the
+   factor and whose columns >= p keep A's separator block. *)
+type part = { l : float array; p : int; q : int; first : int; step : int }
 
-      L[i,j] = (A[i,j] - sum_{lo_i<=k<j} L[i,k] L[j,k]) / L[j,j]   (j < i)
-      L[i,i] = sqrt(A[i,i] - sum_{lo_i<=k<i} L[i,k]^2)
+(* Rows are produced in order,
 
-   with lo_i = max 0 (i-bw), overwriting A's band in place.  That costs
+      L[i,j] = (A[i,j] - sum_{lo_i<=k<j} L[i,k] L[j,k]) / L[j,j]   (j < min i p)
+      L[i,i] = sqrt(A[i,i] - sum_{lo_i<=k<i} L[i,k]^2)             (i < p)
+
+   with lo_i = max 0 (i-bw), overwriting A's band in place.  The budget
+   is polled once per [block] rows, costing about one matvec (the work
+   unit), and each block ticks one unit: a deadline or work cap stops a
+   large factorization mid-way as a construction failure. *)
+let factor_part ~bw ~block ?budget { l; p; q; first; step } =
+  let w = bw + 1 in
+  let rec go i =
+    if i >= q then Ok ()
+    else
+      match if i mod block = 0 then Option.bind budget Budget.check else None with
+      | Some v -> Error (Format.asprintf "budget expired (%a)" Budget.pp_verdict v)
+      | None ->
+        let oi = (i * w) + bw - i and lo = Int.max 0 (i - bw) in
+        for j = lo to Int.min i p - 1 do
+          let oj = (j * w) + bw - j in
+          l.(oi + j) <- (l.(oi + j) -. dot l oi l oj lo j) /. l.(oj + j)
+        done;
+        let piv = if i < p then l.(oi + i) -. dot l oi l oi lo i else 1. in
+        if not (piv > 1e-300) then
+          Error (Printf.sprintf "non-positive pivot at row %d" (first + (step * i)))
+        else begin
+          if i < p then l.(oi + i) <- sqrt piv;
+          if (i + 1) mod block = 0 then Option.iter (fun b -> Budget.tick b) budget;
+          go (i + 1)
+        end
+  in
+  go 0
+
+(* Runs [f 0] and [f 1], concurrently when the pool has a spare domain
+   and the caller is not already a pool worker, in task order
+   otherwise. *)
+let pair pool f =
+  Pool.for_chunks ~chunk:1 ~min_size:2 (Option.value pool ~default:Pool.seq) 2 (fun ~lo ~hi:_ ->
+      f lo)
+
+(* L y = r on the part's rows, leaving W y in the separator slots *)
+let forward_part ~bw { l; p; q; first; step } v r =
+  let w = bw + 1 in
+  for i = 0 to q - 1 do
+    let oi = (i * w) + bw - i and lo = Int.max 0 (i - bw) in
+    if i < p then v.(i) <- (r.(first + (step * i)) -. dot l oi v 0 lo i) /. l.(oi + i)
+    else v.(i) <- dot l oi v 0 lo p
+  done
+
+(* L^T z = y - W^T z_s, given z_s in the separator slots: column saxpy
+   on L's rows (in place on v), then scatter the part's rows into z *)
+let backward_part ~bw { l; p; q; first; step } v z =
+  let w = bw + 1 in
+  for i = q - 1 downto 0 do
+    let oi = (i * w) + bw - i in
+    let zi = if i < p then v.(i) /. l.(oi + i) else v.(i) in
+    v.(i) <- zi;
+    for k = Int.max 0 (i - bw) to Int.min i p - 1 do
+      v.(k) <- v.(k) -. (l.(oi + k) *. zi)
+    done
+  done;
+  for i = 0 to p - 1 do
+    z.(first + (step * i)) <- v.(i)
+  done
+
+(* Exact Cholesky factor of a narrow band, A = L L^T, by a two-way
+   dissection: the two outer parts above, then a dense s x s Cholesky of
+   the separator's Schur complement
+
+      S = A_ss - W_lo W_lo^T - W_up W_up^T   (s = bw)
+
+   so that, in the order (lower part, upper part, separator),
+
+      L = [ L_lo   0     0   ]
+          [ 0      L_up  0   ]
+          [ W_lo   W_up  L_s ].
+
+   The parts are independent, so a pool runs them as a two-task kernel;
+   the split depends only on n and bw and the arithmetic is the same on
+   either domain, so pooled and sequential factors are bitwise equal.
+   Only two parts, because the separator step is sequential and grows
+   with their number.  Bands too short for each part to keep 2 bw rows
+   are not split (s = 0, the upper part empty).  The factor costs
    n*bw^2/2 multiply-adds, so the band is admitted only under the direct
    rung's storage cap and when bw^2 <= n: then the factor costs at most
    ~n^2/2, and on the tensor grids the library builds it holds exactly
    for the 2-D unit cell numbered radius-fastest (bw = nr <= nz) and
    fails for every 3-D stack (bw = nx*ny). *)
-let band_cholesky ?budget a =
+let band_cholesky ?pool ?budget a =
   let n = Sparse.rows a in
   if injected () then Error injected_error
   else if Sparse.cols a <> n then Error "matrix not square"
@@ -291,63 +377,99 @@ let band_cholesky ?budget a =
       Error (Printf.sprintf "band too wide (half-bandwidth %d, order %d)" bw n)
     else begin
       let w = bw + 1 in
-      (* row i's offset: L[i,k] is l.(off i + k) *)
-      let off i = (i * w) + bw - i in
-      let l = Array.make (n * w) 0. in
+      let s, m = if n >= 5 * bw then (bw, (n - bw) / 2) else (0, n) in
+      let lower =
+        { l = Array.make ((m + s) * w) 0.; p = m; q = m + s; first = 0; step = 1 }
+      in
+      let upper =
+        { l = Array.make ((n - m) * w) 0.; p = n - m - s; q = n - m; first = n - 1; step = -1 }
+      in
+      let parts = [| lower; upper |] in
       let row_ptr, col_idx, values = Sparse.csr a in
       for i = 0 to n - 1 do
         for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
           let j = col_idx.(k) in
-          if j <= i then l.(off i + j) <- values.(k)
+          if j <= i then begin
+            if i < lower.q then lower.l.((i * w) + bw - i + j) <- values.(k);
+            (* A[i,j] = A[j,i] is the upper part's (n-1-j, n-1-i) *)
+            if j >= m then begin
+              let r = n - 1 - j in
+              upper.l.((r * w) + bw - r + n - 1 - i) <- values.(k)
+            end
+          end
         done
       done;
-      (* the budget is polled once per block of rows costing about one
-         matvec (the work unit), and each block ticks one unit: a
-         deadline or work cap stops a large factorization mid-way as a
-         construction failure, and the ladder demotes *)
-      let block = Stdlib.max 1 (Sparse.nnz a / Stdlib.max 1 (bw * w / 2)) in
-      let rec factor i =
-        if i >= n then Ok ()
-        else
-          match if i mod block = 0 then Option.bind budget Budget.check else None with
-          | Some v -> Error (Format.asprintf "budget expired (%a)" Budget.pp_verdict v)
-          | None ->
-            let oi = off i and lo = Stdlib.max 0 (i - bw) in
-            for j = lo to i - 1 do
-              let oj = off j in
-              l.(oi + j) <- (l.(oi + j) -. dot l oi l oj lo j) /. l.(oj + j)
-            done;
-            let piv = l.(oi + i) -. dot l oi l oi lo i in
-            if not (piv > 1e-300) then Error (Printf.sprintf "non-positive pivot at row %d" i)
-            else begin
-              l.(oi + i) <- sqrt piv;
-              if (i + 1) mod block = 0 then Option.iter (fun b -> Budget.tick b) budget;
-              factor (i + 1)
-            end
-      in
-      match factor 0 with
-      | Error _ as e -> e
-      | Ok () ->
-        let apply_fn ?pool:_ r =
-          (* forward substitution: L y = r *)
-          let y = Array.make n 0. in
-          for i = 0 to n - 1 do
-            let oi = off i in
-            y.(i) <- (r.(i) -. dot l oi y 0 (Stdlib.max 0 (i - bw)) i) /. l.(oi + i)
-          done;
-          (* backward substitution: L^T z = y, via column saxpy on L's
-             rows (in place on y) *)
-          for i = n - 1 downto 0 do
-            let oi = off i in
-            let zi = y.(i) /. l.(oi + i) in
-            y.(i) <- zi;
-            for k = Stdlib.max 0 (i - bw) to i - 1 do
-              y.(k) <- y.(k) -. (l.(oi + k) *. zi)
+      let block = Int.max 1 (Sparse.nnz a / Int.max 1 (bw * w / 2)) in
+      let outcome = [| Ok (); Ok () |] in
+      pair pool (fun t -> outcome.(t) <- factor_part ~bw ~block ?budget parts.(t));
+      (* the separator in dense row-major s x s, after one more poll: a
+         work cap then stops the factor iff the parts need at least that
+         much work, whichever domain ticked first *)
+      let sd = Array.make (s * s) 0. in
+      let separator () =
+        match Option.bind budget Budget.check with
+        | Some v -> Error (Format.asprintf "budget expired (%a)" Budget.pp_verdict v)
+        | None ->
+          let ol i = (i * w) + bw - i in
+          for x = 0 to s - 1 do
+            let il = m + x and iu = n - m - 1 - x in
+            for y = 0 to x do
+              let jl = m + y and ju = n - m - 1 - y in
+              sd.((x * s) + y) <-
+                lower.l.(ol il + m + y)
+                -. dot lower.l (ol il) lower.l (ol jl) (Int.max 0 (il - bw)) m
+                -. dot upper.l (ol iu) upper.l (ol ju) (Int.max 0 (ju - bw)) upper.p
             done
           done;
-          y
-        in
-        Ok { kind = Chol; dim = n; apply_fn }
+          let rec go x =
+            if x >= s then Ok ()
+            else begin
+              let ox = x * s in
+              for y = 0 to x - 1 do
+                let oy = y * s in
+                sd.(ox + y) <- (sd.(ox + y) -. dot sd ox sd oy 0 y) /. sd.(oy + y)
+              done;
+              let piv = sd.(ox + x) -. dot sd ox sd ox 0 x in
+              if not (piv > 1e-300) then
+                Error (Printf.sprintf "non-positive pivot at row %d" (m + x))
+              else begin
+                sd.(ox + x) <- sqrt piv;
+                go (x + 1)
+              end
+            end
+          in
+          go 0
+      in
+      match (outcome.(0), outcome.(1)) with
+      | (Error _ as e), _ | Ok (), (Error _ as e) -> e
+      | Ok (), Ok () -> (
+        match separator () with
+        | Error _ as e -> e
+        | Ok () ->
+          let apply_fn ?pool r =
+            let z = Array.make n 0. in
+            let vs = [| Array.make lower.q 0.; Array.make upper.q 0. |] in
+            pair pool (fun t -> forward_part ~bw parts.(t) vs.(t) r);
+            (* L_s y_s = r_s - W_lo y_lo - W_up y_up, then L_s^T z_s = y_s *)
+            let ys = Array.make s 0. in
+            for x = 0 to s - 1 do
+              let rx = r.(m + x) -. vs.(0).(m + x) -. vs.(1).(n - m - 1 - x) in
+              ys.(x) <- (rx -. dot sd (x * s) ys 0 0 x) /. sd.((x * s) + x)
+            done;
+            for x = s - 1 downto 0 do
+              let zx = ys.(x) /. sd.((x * s) + x) in
+              ys.(x) <- zx;
+              for y = 0 to x - 1 do
+                ys.(y) <- ys.(y) -. (sd.((x * s) + y) *. zx)
+              done;
+              z.(m + x) <- zx;
+              vs.(0).(m + x) <- zx;
+              vs.(1).(n - m - 1 - x) <- zx
+            done;
+            pair pool (fun t -> backward_part ~bw parts.(t) vs.(t) z);
+            z
+          in
+          Ok { kind = Chol; dim = n; apply_fn })
     end
   end
 

@@ -32,11 +32,12 @@
     - {!jacobi} — diagonal scaling.  Weakest, but total: defined for
       every matrix, zero construction cost.
 
-    Applications are deterministic: the triangular sweeps of
-    {!band_cholesky}, {!ic0} and {!ssor} are sequential by data
-    dependence (and identical under any pool), and the pooled {!jacobi}
-    scaling is elementwise — so a preconditioned solve takes the same
-    iteration path with or without a domain pool. *)
+    Applications are deterministic: the triangular sweeps of {!ic0} and
+    {!ssor} are sequential by data dependence (and identical under any
+    pool), {!band_cholesky} runs its two independent parts' sweeps on a
+    pool with unchanged arithmetic, and the pooled {!jacobi} scaling is
+    elementwise — so a preconditioned solve takes the same iteration
+    path with or without a domain pool. *)
 
 type t
 
@@ -48,8 +49,9 @@ val dim : t -> int
 
 val apply : ?pool:Ttsv_parallel.Pool.t -> t -> Vec.t -> Vec.t
 (** [apply m r] computes [M^-1 r] (a fresh vector).  [pool] is used only
-    by the embarrassingly parallel {!jacobi} scaling; the result never
-    depends on it.  Raises [Invalid_argument] on a dimension
+    by the embarrassingly parallel {!jacobi} scaling, the two parts of
+    {!band_cholesky} and the {!mg} cycle; the result never depends on
+    it.  Raises [Invalid_argument] on a dimension
     mismatch. *)
 
 val jacobi : Sparse.t -> t
@@ -90,21 +92,39 @@ val ic0 :
     when armed and fired they return [Error "injected construction
     fault"]. *)
 
-val band_cholesky : ?budget:Ttsv_parallel.Budget.t -> Sparse.t -> (t, string) result
+val band_cholesky :
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?budget:Ttsv_parallel.Budget.t ->
+  Sparse.t ->
+  (t, string) result
 (** The exact Cholesky factor [L] of [a]'s band ([a = L Lᵀ]), stored as
-    one flat lower-band array of [n·(bw+1)] floats; each application is
+    flat lower-band arrays of about [n·(bw+1)] floats; each application is
     one forward and one backward band sweep, O(n·bw).  Meant for the
     symmetric positive definite conductance matrices: only [a]'s lower
     triangle is read.
 
+    The factor is a two-way dissection: the [bw] middle rows separate
+    the band into a lower and an upper part, factored as independent
+    bands (the upper one in descending order), and a dense [bw×bw]
+    Cholesky of the separator's Schur complement closes it.  A band too
+    short for each part to keep [2·bw] rows ([n < 5·bw]) is factored as
+    one part.  The parts, and each application's forward and backward
+    sweeps over them, run as two-task [pool] kernels: concurrently when
+    [pool] has at least two domains and the caller is not already a
+    pool worker.  The split depends only on [n] and [bw], so the factor
+    and its applications are bitwise identical with or without a pool.
+
     The band is admitted only when it fits {!Banded.fits} (the direct
     rung's storage cap) and [bw·bw <= n], which bounds the O(n·bw²)
     factorization by about [n²/2] multiply-adds.  [Error] when it is not
-    admitted (this costs one O(nnz) bandwidth scan), when the matrix is
-    not square, on a non-positive pivot, when the ["precond"] fault
-    fires, and when [budget] expires: the factorization polls it once
-    per block of rows costing about one matvec, and ticks one work unit
-    per such block. *)
+    admitted (this costs one O(n) bandwidth scan), when the matrix is
+    not square, on a non-positive pivot (reporting the row of [a] whose
+    pivot failed: the lower part's first, then the upper part's, then
+    the separator's), when the ["precond"] fault fires, and when
+    [budget] expires: each part polls it once per block of rows costing
+    about one matvec, and ticks one work unit per such block, and the
+    separator polls it once more, so a work cap stops the factor iff the
+    parts need at least that much work, pooled or not. *)
 
 val ic0_shift : t -> float option
 (** The diagonal shift the successful IC(0) factorization used ([0.]

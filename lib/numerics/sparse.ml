@@ -170,12 +170,16 @@ let iter_row m i f =
     f m.col_idx.(k) m.values.(k)
   done
 
+(* columns are sorted within each row, so a row's farthest entries are
+   its first and its last: O(rows), with int compares only *)
 let bandwidth m =
   let bw = ref 0 in
   for i = 0 to m.nrows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      bw := Stdlib.max !bw (abs (m.col_idx.(k) - i))
-    done
+    let lo = m.row_ptr.(i) and hi = m.row_ptr.(i + 1) - 1 in
+    if hi >= lo then begin
+      let d = Int.max (i - m.col_idx.(lo)) (m.col_idx.(hi) - i) in
+      if d > !bw then bw := d
+    end
   done;
   !bw
 

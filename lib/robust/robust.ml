@@ -48,9 +48,10 @@ let pp_failure ppf f =
     f.diagnostics
 
 (* the exact band factor first: where the band is narrow (the 2-D unit
-   cell, bw = nr) its O(n bw^2) setup plus one or two CG iterations beat
-   IC(0)-CG's 60-400 iterations at every size; where it is not (the 3-D
-   stack) it is refused after one bandwidth scan and IC(0) answers *)
+   cell, bw = nr) its n bw^2/2 setup, split across two domains when the
+   solve has a pool, plus one or two CG iterations beat IC(0)-CG's
+   60-400 iterations at every size; where it is not (the 3-D stack) it
+   is refused after one bandwidth scan and IC(0) answers *)
 let default_rungs =
   [ Diagnostics.Cg_chol; Diagnostics.Cg_ic0; Diagnostics.Cg_ssor; Diagnostics.Cg;
     Diagnostics.Bicgstab; Diagnostics.Direct ]
@@ -180,7 +181,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergenc
     let precond_for ?budget rung =
       match rung with
       | Diagnostics.Cg_chol -> (
-        match Precond.band_cholesky ?budget a with
+        match Precond.band_cholesky ?pool ?budget a with
         | Ok m -> Ok (Some m)
         | Error why -> Error ("chol: " ^ why))
       | Diagnostics.Cg_mg -> (

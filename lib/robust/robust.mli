@@ -49,8 +49,8 @@ val default_rungs : Diagnostics.rung list
 
     The band factor heads it because, on the 2-D unit cell (numbered
     radius-fastest, half-bandwidth [nr = 15·resolution]), its
-    [n·nr²/2] setup costs less than the IC(0)-CG iterations it replaces
-    at every size: on the block stack, resolution 1 takes 0.94 ms in
+    [n·nr²/2] setup (two halves, on two domains when [pool] has them)
+    costs less than the IC(0)-CG iterations it replaces at every size: on the block stack, resolution 1 takes 0.94 ms in
     one iteration against IC(0)-CG's 4.6 ms in 68, resolution 2 6.1 ms
     against 26 ms, resolution 8 0.65 s against 1.3 s (README).  The
     factor alone misses [tol] from resolution 4 up (relative residual

@@ -37,8 +37,10 @@ val create :
   t
 (** [create ()] builds an engine with the given per-level cache
     capacities (defaults: 32 operators, 64 solutions).  [pool], when
-    given, shards batches across its domains and parallelizes
-    assembly/solve kernels. *)
+    given, shards batches of several requests across its domains, one
+    request per domain; a lone request instead runs its assembly, its
+    band-Cholesky factor's two parts and its Krylov kernels on the
+    pool. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Handle one request; total (never raises). *)

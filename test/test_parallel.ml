@@ -288,6 +288,31 @@ let fem_tests =
             ("ic0", Result.get_ok (Precond.ic0 a));
             ("ssor", Result.get_ok (Precond.ssor a));
           ]);
+    test "band Cholesky factor and apply pooled equal sequential bit for bit" (fun () ->
+        (* the two parts of the split factor run on separate domains with
+           unchanged arithmetic: factoring or applying with any pool
+           reproduces the sequential sweeps exactly *)
+        let p = Problem.of_stack ~resolution:2 (Params.fig5_stack (Units.um 1.)) in
+        let a = Solver.assemble p in
+        (* nonzero everywhere: the fig5 source is confined to the top
+           layers, which would leave the lower part's sweeps all zeros *)
+        let r = vec (Sparse.rows a) in
+        let reference = Precond.apply (Result.get_ok (Precond.band_cholesky a)) r in
+        List.iter
+          (fun d ->
+            Pool.with_pool ~domains:d @@ fun pool ->
+            let m = Result.get_ok (Precond.band_cholesky ~pool a) in
+            check_float_array
+              (Printf.sprintf "pooled factor, sequential apply (domains=%d)" d)
+              reference (Precond.apply m r);
+            check_float_array
+              (Printf.sprintf "pooled factor, pooled apply (domains=%d)" d)
+              reference (Precond.apply ~pool m r);
+            check_float_array
+              (Printf.sprintf "pooled apply inside a region (domains=%d)" d)
+              reference
+              (Pool.with_region pool (fun () -> Precond.apply ~pool m r)))
+          domain_counts);
     test "multigrid setup and cycles pooled match sequential bit for bit" (fun () ->
         (* setup is sequential by construction, so a pooled build must
            yield the identical hierarchy; the cycle kernels are
@@ -372,12 +397,21 @@ let fem_tests =
           r.Iterative.iterations;
         check_float_array "solution" reference.Iterative.solution r.Iterative.solution);
     test "full 2-D solve pooled equals sequential" (fun () ->
-        let p = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
-        let reference = Solver.solve p in
-        Pool.with_pool ~domains:4 @@ fun pool ->
-        let r = Solver.solve ~pool p in
-        Alcotest.(check int) "iterations" reference.Solver.iterations r.Solver.iterations;
-        check_float_array "temps" reference.Solver.temps r.Solver.temps);
+        (* the default ladder, headed by the split band-Cholesky rung *)
+        List.iter
+          (fun resolution ->
+            let p = Problem.of_stack ~resolution (Params.fig5_stack (Units.um 1.)) in
+            let reference = Solver.solve p in
+            List.iter
+              (fun d ->
+                Pool.with_pool ~domains:d @@ fun pool ->
+                let r = Solver.solve ~pool p in
+                let what = Printf.sprintf "res %d, domains=%d" resolution d in
+                Alcotest.(check int) ("iterations, " ^ what) reference.Solver.iterations
+                  r.Solver.iterations;
+                check_float_array ("temps, " ^ what) reference.Solver.temps r.Solver.temps)
+              domain_counts)
+          [ 1; 2; 3 ]);
     test "full 3-D solve pooled equals sequential" (fun () ->
         let stack = Params.fig5_stack (Units.um 1.) in
         let reference = Solver3.solve (Problem3.of_stack ~resolution:1 stack) in

@@ -15,6 +15,7 @@ module Params = Ttsv_core.Params
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
 module Budget = Ttsv_parallel.Budget
+module Pool = Ttsv_parallel.Pool
 module Diagnostics = Ttsv_robust.Diagnostics
 open Helpers
 
@@ -187,14 +188,9 @@ let test_cg_precond_dimension_mismatch () =
 (* --- band Cholesky ---------------------------------------------------------- *)
 
 (* a random symmetric strictly diagonally dominant (so SPD) matrix of
-   half-bandwidth exactly [bw], with bw*bw <= n so the factor admits it *)
-let gen_banded_system =
+   order n and half-bandwidth exactly bw, with a random rhs *)
+let gen_band ~n ~bw =
   let open QCheck2.Gen in
-  let* n = int_range 5 80 in
-  let admitted bw = bw * bw <= n && (2 * bw) + 1 < n in
-  let rec max_bw bw = if admitted (bw + 1) then max_bw (bw + 1) else bw in
-  let max_bw = max_bw 1 in
-  let* bw = int_range 1 max_bw in
   let* offs = array_size (return (n * bw)) (float_range 0.05 1.) in
   let* signs = array_size (return (n * bw)) bool in
   let* b = gen_vec n in
@@ -212,6 +208,23 @@ let gen_banded_system =
   done;
   Array.iteri (fun i s -> Sparse.add builder i i (s +. 0.5)) row_abs;
   return (bw, Sparse.finalize builder, b)
+
+(* any band the factor admits: bw*bw <= n and 2bw+1 < n *)
+let gen_banded_system =
+  let open QCheck2.Gen in
+  let* n = int_range 5 80 in
+  let admitted bw = bw * bw <= n && (2 * bw) + 1 < n in
+  let rec max_bw bw = if admitted (bw + 1) then max_bw (bw + 1) else bw in
+  let* bw = int_range 1 (max_bw 1) in
+  gen_band ~n ~bw
+
+(* bands long enough to split (n >= 5 bw), up to 2.5 parts' worth of
+   separator-sized slack, so the separator sits at every offset *)
+let gen_split_banded_system =
+  let open QCheck2.Gen in
+  let* bw = int_range 0 12 in
+  let* extra = int_range 0 (Stdlib.max 3 (5 * bw / 2)) in
+  gen_band ~n:(Stdlib.max (5 * bw) ((bw * bw) + 3) + extra) ~bw
 
 let prop_band_cholesky_exact (bw, a, b) =
   if Sparse.bandwidth a <> bw then
@@ -289,6 +302,68 @@ let test_band_cholesky_budget_mid_factor () =
     true
     (Budget.work_spent unlimited > 3)
 
+(* a diagonally dominant tridiagonal band of order 20 with row [bad]'s
+   diagonal made negative: 20 >= 5 bw splits it into the lower part
+   [0, 9), the separator row 9 and the upper part [10, 20) *)
+let tridiag_with_bad_row ?(also = []) bad =
+  let n = 20 in
+  let b = Sparse.builder n n in
+  for i = 0 to n - 1 do
+    Sparse.add b i i (if i = bad || List.mem i also then -1. else 3.);
+    if i > 0 then begin
+      Sparse.add b i (i - 1) (-1.);
+      Sparse.add b (i - 1) i (-1.)
+    end
+  done;
+  Sparse.finalize b
+
+let test_band_cholesky_pivot_global_row () =
+  (* whichever part (or the separator) meets the non-positive pivot, the
+     error names that row of the matrix, pooled or not *)
+  Pool.with_pool ~domains:2 @@ fun pool ->
+  List.iter
+    (fun (what, a, row) ->
+      List.iter
+        (fun (how, pool) ->
+          match Precond.band_cholesky ?pool a with
+          | Error why ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s (%s)" what how)
+              (Printf.sprintf "non-positive pivot at row %d" row)
+              why
+          | Ok _ -> Alcotest.failf "%s (%s): expected a non-positive pivot" what how)
+        [ ("sequential", None); ("pooled", Some pool) ])
+    [
+      ("lower part", tridiag_with_bad_row 3, 3);
+      ("upper part", tridiag_with_bad_row 16, 16);
+      ("separator", tridiag_with_bad_row 9, 9);
+      ("both parts: the lower one is reported", tridiag_with_bad_row ~also:[ 15 ] 4, 4);
+    ]
+
+let test_band_cholesky_budget_pooled () =
+  (* a work cap stops the factor iff the parts need at least that much
+     work: the same verdict on one domain or two, wherever the cap
+     falls *)
+  let p = Problem.of_stack (Params.block ~r:(Units.um 5.) ()) in
+  let a = Solver.assemble p in
+  let unlimited = Budget.make ~max_work:max_int () in
+  ignore (get_ok "chol" (Precond.band_cholesky ~budget:unlimited a));
+  let total = Budget.work_spent unlimited in
+  let verdict ?pool cap =
+    match Precond.band_cholesky ?pool ~budget:(Budget.make ~max_work:cap ()) a with
+    | Ok _ -> "ok"
+    | Error why -> why
+  in
+  Pool.with_pool ~domains:2 @@ fun pool ->
+  List.iter
+    (fun cap ->
+      let expected = if cap <= total then "budget expired (work budget exhausted)" else "ok" in
+      Alcotest.(check string) (Printf.sprintf "cap %d sequential" cap) expected (verdict cap);
+      Alcotest.(check string)
+        (Printf.sprintf "cap %d pooled" cap)
+        expected (verdict ~pool cap))
+    [ 0; 1; 3; total / 2; total - 1; total; total + 1 ]
+
 let test_band_cholesky_fv_default () =
   (* the default ladder on the 2-D unit cell: the band-Cholesky rung
      converges in at most two iterations and agrees with IC(0)-CG *)
@@ -333,10 +408,16 @@ let suite =
       test "cg rejects mismatched preconditioner" test_cg_precond_dimension_mismatch;
       qtest ~count:100 "band Cholesky apply matches the dense solve on random SPD bands"
         gen_banded_system prop_band_cholesky_exact;
+      qtest ~count:100 "split band Cholesky apply matches the dense solve on long SPD bands"
+        gen_split_banded_system prop_band_cholesky_exact;
       test "band Cholesky refuses 3-D stack bands" test_band_cholesky_refuses_3d;
       test "band Cholesky reports a non-positive pivot" test_band_cholesky_indefinite;
       test "band Cholesky stops mid-factor when the budget expires"
         test_band_cholesky_budget_mid_factor;
+      test "band Cholesky reports a pivot failure at its row of the matrix"
+        test_band_cholesky_pivot_global_row;
+      test "band Cholesky gives a work cap the same verdict pooled and sequential"
+        test_band_cholesky_budget_pooled;
       test "default FV solves take <= 2 band-Cholesky CG iterations"
         test_band_cholesky_fv_default;
     ] )
