@@ -382,7 +382,7 @@ let figures_cmd =
         | "fig5" -> E.Fig5.print ~pool ?checkpoint ppf ()
         | "fig6" -> E.Fig6.print ppf ()
         | "fig7" -> E.Fig7.print ~pool ppf ()
-        | "table1" -> E.Table1.print ppf ()
+        | "table1" -> E.Table1.print ~pool ppf ()
         | "case" -> E.Case_study.print ppf ()
         | "ablation" -> E.Ablation.print ppf ()
         | "convergence" -> E.Convergence.print ppf ()
@@ -548,6 +548,13 @@ let serve_cmd =
   let operators_t = cap "cache-operators" 32 "assembled-operator cache capacity (LRU)" in
   let solutions_t = cap "cache-solutions" 64 "warm-start solution cache capacity (LRU)" in
   let run batch operators solutions domains () =
+    (* A served exact repeat allocates ~800 minor words, so the major
+       GC runs rarely (22 cycles in 1600 64-line batches) and the
+       default space_overhead of 120 let garbage raise the serve_hot
+       benchmark's peak RSS by ~9 %.  At 80 it reads 8 % below the
+       old, more allocating server, for ~3 % of the throughput
+       (DESIGN.md "Allocation-free kernels"). *)
+    Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
     with_pool domains @@ fun pool ->
     let engine = Engine.create ~pool ~operators ~solutions () in
     let answered = Engine.serve ~batch engine stdin stdout in
@@ -591,7 +598,7 @@ let export_cmd =
     figure "fig5" (E.Fig5.run ~pool ());
     figure "fig6" (E.Fig6.run ());
     figure "fig7" (E.Fig7.run ~pool ());
-    let table1 = E.Table1.to_table (E.Table1.run ()) in
+    let table1 = E.Table1.to_table (E.Table1.run ~pool ()) in
     let path = Filename.concat out "table1.csv" in
     E.Export.write_table table1 path;
     Format.printf "wrote %s@." path

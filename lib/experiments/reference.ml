@@ -4,8 +4,8 @@ module Params = Ttsv_core.Params
 module Calibrate = Ttsv_core.Calibrate
 module Units = Ttsv_physics.Units
 
-let max_rise ?(resolution = 2) stack =
-  Solver.max_rise (Solver.solve (Problem.of_stack ~resolution stack))
+let max_rise ?pool ?(resolution = 2) stack =
+  Solver.max_rise (Solver.solve ?pool (Problem.of_stack ~resolution stack))
 
 let fit_on stacks =
   let samples =

@@ -4,10 +4,12 @@
     meshing and exposes the calibration runs the paper performs against
     it. *)
 
-val max_rise : ?resolution:int -> Ttsv_geometry.Stack.t -> float
+val max_rise : ?pool:Ttsv_parallel.Pool.t -> ?resolution:int -> Ttsv_geometry.Stack.t -> float
 (** [max_rise stack] is the FV Max ΔT at mesh [resolution]
     (default 2 — mesh-converged to well under a percent for the paper's
-    block, see the convergence ablation). *)
+    block, see the convergence ablation).  [pool] runs the solve's
+    kernels on its domains; the result is bitwise identical without
+    it. *)
 
 val block_coefficients : unit -> Ttsv_core.Coefficients.t
 (** Model A coefficients fitted against the FV solver on three liner

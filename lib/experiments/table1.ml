@@ -8,9 +8,9 @@ module Units = Ttsv_physics.Units
 
 type row = { label : string; max_err : float; avg_err : float; time_ms : float option }
 
-let run_body ?resolution () =
+let run_body ?pool ?resolution () =
   let stacks = List.map (fun tl -> Params.fig5_stack (Units.um tl)) Fig5.liners_um in
-  let fv = Array.of_list (List.map (Reference.max_rise ?resolution) stacks) in
+  let fv = Array.of_list (List.map (Reference.max_rise ?pool ?resolution) stacks) in
   let timed label f =
     let solve_all () = Array.of_list (List.map f stacks) in
     let m = Timing.measure solve_all in
@@ -36,8 +36,8 @@ let run_body ?resolution () =
   let one_d = timed "1-D" (fun s -> Model_1d.max_rise (Model_1d.solve s)) in
   b_rows @ [ a_fit; a_paper; one_d ]
 
-let run ?resolution () =
-  Ttsv_obs.Span.with_ ~name:"experiment.table1" (fun () -> run_body ?resolution ())
+let run ?pool ?resolution () =
+  Ttsv_obs.Span.with_ ~name:"experiment.table1" (fun () -> run_body ?pool ?resolution ())
 
 let to_table rows =
   {
@@ -55,7 +55,7 @@ let to_table rows =
         rows;
   }
 
-let print ?resolution ppf () =
+let print ?pool ?resolution ppf () =
   Format.fprintf ppf "@[<v>";
-  Report.print_table ppf (to_table (run ?resolution ()));
+  Report.print_table ppf (to_table (run ?pool ?resolution ()));
   Format.fprintf ppf "@]@."

@@ -17,8 +17,11 @@ type row = {
   time_ms : float option;  (** [None] for the FV reference row *)
 }
 
-val run : ?resolution:int -> unit -> row list
+val run : ?pool:Ttsv_parallel.Pool.t -> ?resolution:int -> unit -> row list
+(** [pool] runs each FV reference solve's kernels on its domains (the
+    band-Cholesky factor's two halves); the rows are bitwise identical
+    without it, timing column aside. *)
 
 val to_table : row list -> Report.table
 
-val print : ?resolution:int -> Format.formatter -> unit -> unit
+val print : ?pool:Ttsv_parallel.Pool.t -> ?resolution:int -> Format.formatter -> unit -> unit

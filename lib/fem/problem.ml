@@ -15,7 +15,7 @@ let make ~grid ~conductivity ~source =
     conductivity;
   { grid; conductivity = Array.copy conductivity; source = Array.copy source }
 
-let total_source p = Array.fold_left ( +. ) 0. p.source
+let total_source p = Ttsv_numerics.Vec.sum p.source
 let cell_count p = Grid.cells p.grid
 
 (* Shared discretization: the graded r-z grid, per-row layers, and the

@@ -1,5 +1,6 @@
 module Grid = Grid
 module Sparse = Ttsv_numerics.Sparse
+module Vec = Ttsv_numerics.Vec
 module Iterative = Ttsv_numerics.Iterative
 module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
@@ -213,7 +214,7 @@ let solve ?tol ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?budget p =
   | Ok r -> r
   | Error f -> raise (Robust.Solve_failed f)
 
-let max_rise r = Array.fold_left Float.max 0. r.temps
+let max_rise r = Float.max 0. (Vec.max_elt r.temps)
 
 type transient = { times : float array; max_rises : float array; final : result }
 
@@ -227,15 +228,16 @@ let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~mater
   let module Material = Ttsv_physics.Material in
   let g = p.Problem.grid in
   let nr = Grid.nr g in
-  let caps =
-    Array.init n (fun i ->
-        Grid.volume g (i mod nr) (i / nr)
-        *. materials.(i).Material.volumetric_heat_capacity)
-  in
   (* backward Euler: (G + C/dt) T_next = q(t_next) + (C/dt) T_now; the
      system matrix is assembled once and every step warm-starts CG from the
      previous instant *)
-  let cdt = Array.map (fun c -> c /. dt) caps in
+  let cdt = Array.create_float n in
+  for i = 0 to n - 1 do
+    let cap =
+      Grid.volume g (i mod nr) (i / nr) *. materials.(i).Material.volumetric_heat_capacity
+    in
+    cdt.(i) <- cap /. dt
+  done;
   let system = assemble ?pool ?bottom_h ~extra_diagonal:cdt p in
   let times = Array.make (steps + 1) 0. in
   let maxes = Array.make (steps + 1) 0. in
@@ -245,9 +247,10 @@ let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~mater
   for m = 1 to steps do
     let time = float_of_int m *. dt in
     let scale = power time in
-    let rhs =
-      Array.init n (fun i -> (p.Problem.source.(i) *. scale) +. (cdt.(i) *. !temps.(i)))
-    in
+    let rhs = Array.create_float n in
+    for i = 0 to n - 1 do
+      rhs.(i) <- (p.Problem.source.(i) *. scale) +. (cdt.(i) *. !temps.(i))
+    done;
     let x, d =
       Robust.solve_exn ~tol ~max_iter:(Stdlib.max 2000 (40 * n)) ~x0:!temps ?pool system rhs
     in
@@ -255,7 +258,7 @@ let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~mater
     total_iters := !total_iters + d.Diagnostics.iterations;
     last_diag := d;
     times.(m) <- time;
-    maxes.(m) <- Array.fold_left Float.max 0. !temps
+    maxes.(m) <- Float.max 0. (Vec.max_elt !temps)
   done;
   {
     times;
@@ -302,13 +305,11 @@ let solve_nonlinear ?tol ?(picard_tol = 1e-4) ?(max_picard = 50) ?(dampings = de
       if Float.abs (m -. prev_max) <= picard_tol *. Float.max m 1e-12 then Ok (res, sweep)
       else if sweep >= max_picard then Error (res, change, sweep)
       else begin
-        let next =
-          Array.init n (fun i ->
-              let target =
-                Material.k_at materials.(i) (sink_temperature_k +. res.temps.(i))
-              in
-              ((1. -. theta) *. conductivity.(i)) +. (theta *. target))
-        in
+        let next = Array.create_float n in
+        for i = 0 to n - 1 do
+          let target = Material.k_at materials.(i) (sink_temperature_k +. res.temps.(i)) in
+          next.(i) <- ((1. -. theta) *. conductivity.(i)) +. (theta *. target)
+        done;
         picard (sweep + 1) next m
       end
     in

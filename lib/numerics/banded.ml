@@ -41,13 +41,16 @@ let to_dense m = Dense.init m.n m.n (fun i j -> get m i j)
 
 let mat_vec m x =
   if Array.length x <> m.n then invalid_arg "Banded.mat_vec: dimension mismatch";
-  Array.init m.n (fun i ->
-      let acc = ref 0. in
-      let jlo = Int.max 0 (i - m.bw) and jhi = Int.min (m.n - 1) (i + m.bw) in
-      for j = jlo to jhi do
-        acc := !acc +. (get m i j *. x.(j))
-      done;
-      !acc)
+  let y = Array.create_float m.n in
+  for i = 0 to m.n - 1 do
+    let acc = ref 0. in
+    let jlo = Int.max 0 (i - m.bw) and jhi = Int.min (m.n - 1) (i + m.bw) in
+    for j = jlo to jhi do
+      acc := !acc +. (get m i j *. x.(j))
+    done;
+    y.(i) <- !acc
+  done;
+  y
 
 let solve m0 b =
   if Array.length b <> m0.n then invalid_arg "Banded.solve: dimension mismatch";

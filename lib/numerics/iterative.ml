@@ -114,7 +114,7 @@ let notify on_iterate iter res =
    poisons every inner product, so reject it before spending iterations. *)
 let check_inputs a b =
   if not (Sparse.all_finite a) then Some "matrix"
-  else if not (Array.for_all Float.is_finite b) then Some "rhs"
+  else if not (Vec.all_finite b) then Some "rhs"
   else None
 
 let rejected n x0 where =
@@ -378,13 +378,12 @@ let stationary name ?(tol = 1e-10) ?max_iter ?on_iterate update a b =
     let max_iter = default_max_iter n max_iter in
     let window = resolve_window max_iter None in
     let d = Sparse.diagonal a in
-    Array.iter
-      (fun di ->
-        if Float.abs di < 1e-300 then invalid_arg ("Iterative." ^ name ^ ": zero diagonal"))
-      d;
+    for i = 0 to n - 1 do
+      if Float.abs d.(i) < 1e-300 then invalid_arg ("Iterative." ^ name ^ ": zero diagonal")
+    done;
     let x = Vec.zeros n in
     let nb = norm_b_floor b in
-    let res = ref (Vec.norm2 (Vec.sub b (Sparse.mat_vec a x)) /. nb) in
+    let res = ref (Sparse.residual_norm2 a b x /. nb) in
     let trace = ref [ !res ] in
     let iter = ref 0 in
     let best = ref !res and best_iter = ref 0 in
@@ -392,7 +391,7 @@ let stationary name ?(tol = 1e-10) ?max_iter ?on_iterate update a b =
     while !status = None && !iter < max_iter do
       incr iter;
       update a b d x;
-      res := Vec.norm2 (Vec.sub b (Sparse.mat_vec a x)) /. nb;
+      res := Sparse.residual_norm2 a b x /. nb;
       trace := !res :: !trace;
       notify on_iterate !iter !res;
       if !res <= tol then status := Some Converged

@@ -208,9 +208,11 @@ let galerkin p a =
 
 let inverted_diagonal a =
   let d = Sparse.diagonal a in
-  if Array.exists (fun di -> Float.abs di < 1e-300) d then
-    Error "zero diagonal entry"
-  else Ok (Array.map (fun di -> 1. /. di) d)
+  let zero = ref false in
+  for i = 0 to Array.length d - 1 do
+    if Float.abs d.(i) < 1e-300 then zero := true else d.(i) <- 1. /. d.(i)
+  done;
+  if !zero then Error "zero diagonal entry" else Ok d
 
 (* extract and factor (banded LU, no pivoting) every line along
    [line_dim]: the uniform smoother for semicoarsening — a damped
@@ -349,19 +351,21 @@ let apply_sm ?pool sm src =
    clipping the Chebyshev interval to it. *)
 let estimate_lmax a sm =
   let n = Sparse.rows a in
+  (* in place: every caller passes a fresh vector *)
   let normalize u =
-    let s = ref 0. in
-    Array.iter (fun x -> s := !s +. (x *. x)) u;
-    let nrm = sqrt !s in
-    if nrm > 0. then Array.map (fun x -> x /. nrm) u else u
+    let nrm = Vec.norm2 u in
+    if nrm > 0. then
+      for i = 0 to Array.length u - 1 do
+        u.(i) <- u.(i) /. nrm
+      done;
+    u
   in
-  let v =
-    ref
-      (normalize
-         (Array.init n (fun i ->
-              let sign = if i land 1 = 0 then 1. else -1. in
-              sign *. (1. +. (float_of_int (i mod 17) /. 17.)))))
-  in
+  let ramp = Array.create_float n in
+  for i = 0 to n - 1 do
+    let sign = if i land 1 = 0 then 1. else -1. in
+    ramp.(i) <- sign *. (1. +. (float_of_int (i mod 17) /. 17.))
+  done;
+  let v = ref (normalize ramp) in
   let est = ref 0. in
   for _ = 1 to 20 do
     let av = Sparse.mat_vec a !v in

@@ -44,7 +44,10 @@ let apply ?pool t r =
    division blow-up here. *)
 let jacobi_of_diagonal d =
   let n = Array.length d in
-  let inv = Array.map (fun di -> if Float.abs di > 1e-300 then 1. /. di else 1.) d in
+  let inv = Array.create_float n in
+  for i = 0 to n - 1 do
+    inv.(i) <- (if Float.abs d.(i) > 1e-300 then 1. /. d.(i) else 1.)
+  done;
   let apply_fn ?pool r =
     let z = Array.make n 0. in
     Pool.for_chunks ~chunk:2048
@@ -62,6 +65,13 @@ let jacobi a = jacobi_of_diagonal (Sparse.diagonal a)
 
 (* --------------------------------------------------------------- SSOR *)
 
+let has_zero_diagonal d =
+  let zero = ref false in
+  for i = 0 to Array.length d - 1 do
+    if Float.abs d.(i) < 1e-300 then zero := true
+  done;
+  !zero
+
 (* M = (D + wL) D^-1 (D + wU) / (w (2 - w)): matrix-free in the sense
    that only the CSR arrays of A are referenced — no factorization is
    stored.  Each application is two O(nnz) triangular sweeps, reusing
@@ -76,7 +86,7 @@ let ssor ?(omega = 1.0) a =
   else if Sparse.cols a <> n then Error "matrix not square"
   else begin
     let d = Sparse.diagonal a in
-    if Array.exists (fun di -> Float.abs di < 1e-300) d then Error "zero diagonal entry"
+    if has_zero_diagonal d then Error "zero diagonal entry"
     else begin
       let row_ptr, col_idx, values = Sparse.csr a in
       let scale = omega *. (2. -. omega) in

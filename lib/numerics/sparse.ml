@@ -119,7 +119,8 @@ let rows m = m.nrows
 let cols m = m.ncols
 let nnz m = Array.length m.values
 
-let row_dot m (x : float array) i =
+(* inlined: a float returned from a call is boxed, once per row *)
+let[@inline] row_dot m (x : float array) i =
   let acc = ref 0. in
   for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
     acc := !acc +. (m.values.(k) *. x.(m.col_idx.(k)))
@@ -128,7 +129,23 @@ let row_dot m (x : float array) i =
 
 let mat_vec m x =
   if Array.length x <> m.ncols then invalid_arg "Sparse.mat_vec: dimension mismatch";
-  Array.init m.nrows (fun i -> row_dot m x i)
+  let out = Array.create_float m.nrows in
+  for i = 0 to m.nrows - 1 do
+    out.(i) <- row_dot m x i
+  done;
+  out
+
+(* [Vec.norm2 (Vec.sub b (mat_vec m x))] without its two temporaries:
+   the same per-row sums, differenced and squared in the same order *)
+let residual_norm2 m b x =
+  if Array.length x <> m.ncols || Array.length b <> m.nrows then
+    invalid_arg "Sparse.residual_norm2: dimension mismatch";
+  let acc = ref 0. in
+  for i = 0 to m.nrows - 1 do
+    let r = b.(i) -. row_dot m x i in
+    acc := !acc +. (r *. r)
+  done;
+  sqrt !acc
 
 (* Row-parallel product: each row is one accumulation in the same order
    as [mat_vec], written to a disjoint slot, so the pooled result is
@@ -146,12 +163,15 @@ let mul ?pool m x =
     out
 
 let diagonal m =
-  Array.init m.nrows (fun i ->
-      let acc = ref 0. in
-      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-        if m.col_idx.(k) = i then acc := !acc +. m.values.(k)
-      done;
-      !acc)
+  let d = Array.create_float m.nrows in
+  for i = 0 to m.nrows - 1 do
+    let acc = ref 0. in
+    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
+      if m.col_idx.(k) = i then acc := !acc +. m.values.(k)
+    done;
+    d.(i) <- !acc
+  done;
+  d
 
 let csr m = (m.row_ptr, m.col_idx, m.values)
 
@@ -183,7 +203,7 @@ let bandwidth m =
   done;
   !bw
 
-let all_finite m = Array.for_all Float.is_finite m.values
+let all_finite m = Vec.all_finite m.values
 
 let to_dense m =
   let d = Dense.create m.nrows m.ncols in

@@ -52,6 +52,11 @@ val mul : ?pool:Ttsv_parallel.Pool.t -> t -> Vec.t -> Vec.t
     slots, so the result is bitwise identical to [mat_vec m x] for any
     domain count. *)
 
+val residual_norm2 : t -> Vec.t -> Vec.t -> float
+(** [residual_norm2 m b x] is [Vec.norm2 (Vec.sub b (mat_vec m x))],
+    bit for bit, in one pass that allocates nothing.  Raises
+    [Invalid_argument] on a dimension mismatch. *)
+
 val diagonal : t -> Vec.t
 (** [diagonal m] extracts the main diagonal (zeros where absent). *)
 

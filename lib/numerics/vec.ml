@@ -99,15 +99,31 @@ let norm1 x =
   done;
   !acc
 
+(* The kernels below are loops over [Array.create_float]: a polymorphic
+   [Array] higher-order function boxes every float it reads or returns. *)
+
 let add x y =
   check_same_dim "add" x y;
-  Array.mapi (fun i xi -> xi +. y.(i)) x
+  let z = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- x.(i) +. y.(i)
+  done;
+  z
 
 let sub x y =
   check_same_dim "sub" x y;
-  Array.mapi (fun i xi -> xi -. y.(i)) x
+  let z = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- x.(i) -. y.(i)
+  done;
+  z
 
-let scale a x = Array.map (fun xi -> a *. xi) x
+let scale a x =
+  let z = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- a *. x.(i)
+  done;
+  z
 
 let axpy a x y =
   check_same_dim "axpy" x y;
@@ -124,23 +140,48 @@ let map = Array.map
 
 let map2 f x y =
   check_same_dim "map2" x y;
-  Array.mapi (fun i xi -> f xi y.(i)) x
+  let z = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- f x.(i) y.(i)
+  done;
+  z
 
 let sum x =
   let acc = ref 0. in
-  Array.iter (fun xi -> acc := !acc +. xi) x;
+  for i = 0 to Array.length x - 1 do
+    acc := !acc +. x.(i)
+  done;
   !acc
+
+let all_finite x =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length x do
+    ok := Float.is_finite x.(!i);
+    incr i
+  done;
+  !ok
 
 let nonempty name x =
   if Array.length x = 0 then invalid_arg ("Vec." ^ name ^ ": empty vector")
 
+(* x.(0) is both the seed and the first entry visited, so the result is
+   [Array.fold_left Float.max x.(0) x] bit for bit: NaN propagates and
+   +0 beats -0 *)
 let max_elt x =
   nonempty "max_elt" x;
-  Array.fold_left Float.max x.(0) x
+  let acc = ref x.(0) in
+  for i = 0 to Array.length x - 1 do
+    acc := Float.max !acc x.(i)
+  done;
+  !acc
 
 let min_elt x =
   nonempty "min_elt" x;
-  Array.fold_left Float.min x.(0) x
+  let acc = ref x.(0) in
+  for i = 0 to Array.length x - 1 do
+    acc := Float.min !acc x.(i)
+  done;
+  !acc
 
 let argmax x =
   nonempty "argmax" x;

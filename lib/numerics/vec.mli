@@ -95,6 +95,9 @@ val map2 : (float -> float -> float) -> t -> t -> t
 val sum : t -> float
 (** [sum v] is the sum of all entries. *)
 
+val all_finite : t -> bool
+(** [all_finite v] is [true] when no entry is NaN or infinite. *)
+
 val max_elt : t -> float
 (** [max_elt v] is the largest entry.  Raises [Invalid_argument] on the
     empty vector. *)

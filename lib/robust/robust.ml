@@ -80,11 +80,11 @@ let preflight a b =
   if Array.length b <> n then
     push (Printf.sprintf "rhs has dimension %d, expected %d" (Array.length b) n);
   if not (Sparse.all_finite a) then push "matrix contains NaN/Inf entries";
-  if not (Array.for_all Float.is_finite b) then push "rhs contains NaN/Inf entries";
+  if not (Vec.all_finite b) then push "rhs contains NaN/Inf entries";
   List.rev !problems
 
 let true_residual a b x =
-  Vec.norm2 (Vec.sub b (Sparse.mat_vec a x)) /. Float.max (Vec.norm2 b) 1e-300
+  Sparse.residual_norm2 a b x /. Float.max (Vec.norm2 b) 1e-300
 
 let banded_of_sparse a bw =
   let n = Sparse.rows a in

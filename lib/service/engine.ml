@@ -149,7 +149,7 @@ let solve_field t ?budget (s : P.solve) =
     Cache.add t.solutions key x;
     let iterations = d.Diagnostics.iterations in
     Metrics.Counter.add m_iterations iterations;
-    let max_rise_k = Array.fold_left Float.max 0. x in
+    let max_rise_k = Float.max 0. (Vec.max_elt x) in
     Ok
       {
         P.max_rise_k;
@@ -293,19 +293,35 @@ let handle t (req : P.request) =
   Metrics.Histogram.observe m_request_wall (Unix.gettimeofday () -. t0);
   { P.request_id = Some req.P.id; result }
 
-let handle_batch t reqs =
+(* The one batch dispatch of [handle_batch] and [serve]: a
+   [service.batch] span around the batch, one task per item on the pool
+   when there is more than one item, in order otherwise.  Chunk 1:
+   requests are coarse, unequal units of work — let each worker pull the
+   next one as it frees up. *)
+let dispatch t f xs =
   Metrics.Counter.incr m_batches;
-  Obs_span.with_ ~name:"service.batch"
-    ~attrs:[ ("size", string_of_int (Array.length reqs)) ]
+  Obs_span.with_ ~name:"service.batch" ~attrs:[ ("size", string_of_int (Array.length xs)) ]
   @@ fun () ->
   match t.pool with
-  | Some pool when Array.length reqs > 1 ->
-    (* chunk 1: requests are coarse, unequal units of work — let each
-       worker pull the next one as it frees up *)
-    Pool.map_array ~chunk:1 pool (handle t) reqs
-  | _ -> Array.map (handle t) reqs
+  | Some pool when Array.length xs > 1 -> Pool.map_array ~chunk:1 pool f xs
+  | _ -> Array.map f xs
+
+let handle_batch t reqs = dispatch t (handle t) reqs
 
 (* ------------------------------------------------------------------ serve *)
+
+(* One input line to its response line: decoded, handled and encoded in
+   the same task, so a pooled batch spreads the protocol work too. *)
+let answer t line =
+  let response =
+    match P.parse_request line with
+    | Ok req -> handle t req
+    | Error (request_id, e) ->
+      Metrics.Counter.incr m_requests;
+      Metrics.Counter.incr m_errors;
+      { P.request_id; result = Error e }
+  in
+  P.response_to_string response
 
 let serve ?(batch = 64) t ic oc =
   if batch < 1 then invalid_arg "Engine.serve: batch must be >= 1";
@@ -322,31 +338,13 @@ let serve ?(batch = 64) t ic oc =
     match read_group [] batch with
     | [] -> ()
     | lines ->
-      let items = List.map P.parse_request lines in
-      let requests =
-        Array.of_list (List.filter_map (function Ok r -> Some r | Error _ -> None) items)
-      in
-      let responses = if Array.length requests = 0 then [||] else handle_batch t requests in
-      (* stitch handled responses and per-line parse errors back into
-         input order *)
-      let next = ref 0 in
-      List.iter
-        (fun item ->
-          let response =
-            match item with
-            | Ok _ ->
-              let r = responses.(!next) in
-              incr next;
-              r
-            | Error (request_id, e) ->
-              Metrics.Counter.incr m_requests;
-              Metrics.Counter.incr m_errors;
-              { P.request_id; result = Error e }
-          in
-          output_string oc (P.response_to_string response);
-          output_char oc '\n';
-          incr answered)
-        items;
+      let responses = dispatch t (answer t) (Array.of_list lines) in
+      Array.iter
+        (fun response ->
+          output_string oc response;
+          output_char oc '\n')
+        responses;
+      answered := !answered + Array.length responses;
       flush oc;
       loop ()
   in

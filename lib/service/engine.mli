@@ -46,18 +46,21 @@ val handle : t -> Protocol.request -> Protocol.response
 (** Handle one request; total (never raises). *)
 
 val handle_batch : t -> Protocol.request array -> Protocol.response array
-(** Handle a batch, sharding the (independent) requests across the
-    engine's pool one request per task; responses come back in request
-    order.  Cache effects depend on completion order under a pool —
-    results never do. *)
+(** Handle a batch inside one [service.batch] span, sharding the
+    (independent) requests across the engine's pool one request per
+    task; responses come back in request order.  Cache effects depend
+    on completion order under a pool — results never do. *)
 
 val serve : ?batch:int -> t -> in_channel -> out_channel -> int
 (** [serve t ic oc] reads JSONL requests from [ic] in groups of at most
-    [batch] lines (default 64), handles each group with {!handle_batch},
-    and writes one JSONL response per input line to [oc] (in input
-    order, flushed per group) until end of input.  Malformed lines
-    become typed [error] responses in place.  Returns the number of
-    lines answered.
+    [batch] non-blank lines (default 64) and writes one JSONL response
+    per non-blank input line to [oc], in input order, flushed per group,
+    until end of input.  A group goes through the same dispatch as
+    {!handle_batch}, but each task takes a raw line: it decodes it,
+    handles the request and encodes the response, so the reading domain
+    only moves bytes and the [service.batch] span covers decoding and
+    encoding too.  Malformed lines become typed [error] responses in
+    place.  Returns the number of lines answered.
     @raise Invalid_argument when [batch < 1]. *)
 
 val cache_stats : t -> (string * (int * int * int)) list

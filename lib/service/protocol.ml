@@ -351,5 +351,5 @@ let response_to_string r = Json.to_string (response_to_json r)
 
 let solve_key s =
   let g = s.geometry in
-  Printf.sprintf "r=%.17g;tl=%.17g;ti=%.17g;tb=%.17g;ts=%.17g;t1=%.17g;lx=%.17g;res=%d"
+  Printf.sprintf "r=%h;tl=%h;ti=%h;tb=%h;ts=%h;t1=%h;lx=%h;res=%d"
     g.radius_um g.liner_um g.ild_um g.bond_um g.tsi_um g.tsi1_um g.lext_um s.resolution

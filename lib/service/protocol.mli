@@ -164,6 +164,6 @@ val response_to_string : response -> string
 
 val solve_key : solve -> string
 (** Canonical geometry/params cache key: the seven geometry fields plus
-    the resolution, each float printed with 17 significant digits —
+    the resolution, each float printed exactly in hexadecimal ([%h]) —
     requests that mesh to the same operator share a key, [tol] and
     [deadline_s] (which don't change the operator) are excluded. *)

@@ -13,6 +13,7 @@ let all_suites =
     Test_tridiag.suite;
     Test_banded.suite;
     Test_sparse.suite;
+    Test_kernels.suite;
     Test_iterative.suite;
     Test_multigrid.suite;
     Test_robust.suite;

@@ -412,6 +412,18 @@ let fem_tests =
                 check_float_array ("temps, " ^ what) reference.Solver.temps r.Solver.temps)
               domain_counts)
           [ 1; 2; 3 ]);
+    test "Table I's FV reference pooled equals sequential" (fun () ->
+        (* the pool reaches each reference solve's band-Cholesky halves;
+           the goldens hold because the rises do not move by one bit *)
+        Pool.with_pool ~domains:2 @@ fun pool ->
+        List.iter
+          (fun tl ->
+            let stack = Params.fig5_stack (Units.um tl) in
+            check_float_array
+              (Printf.sprintf "max rise, liner %g um" tl)
+              [| E.Reference.max_rise ~resolution:1 stack |]
+              [| E.Reference.max_rise ~pool ~resolution:1 stack |])
+          E.Fig5.liners_um);
     test "full 3-D solve pooled equals sequential" (fun () ->
         let stack = Params.fig5_stack (Units.um 1.) in
         let reference = Solver3.solve (Problem3.of_stack ~resolution:1 stack) in

@@ -282,7 +282,7 @@ let engine_tests =
 
 (* run [Engine.serve] over literal input lines through temp files and
    hand back the response lines *)
-let serve_lines ?batch input_lines =
+let serve_lines ?batch ?(engine = Engine.create ()) input_lines =
   let in_path = Filename.temp_file "ttsv_serve" ".in" in
   let out_path = Filename.temp_file "ttsv_serve" ".out" in
   Fun.protect
@@ -293,7 +293,6 @@ let serve_lines ?batch input_lines =
       let oc = open_out in_path in
       List.iter (fun l -> output_string oc (l ^ "\n")) input_lines;
       close_out oc;
-      let engine = Engine.create () in
       let ic = open_in in_path and oc = open_out out_path in
       let answered =
         Fun.protect
@@ -316,8 +315,64 @@ let response_field line name =
   | Error m -> Alcotest.failf "response line is not JSON: %s" m
   | Ok j -> Json.member name j
 
+(* a response line with its wall-clock fields removed *)
+let strip_wall line =
+  let rec strip = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) -> if String.ends_with ~suffix:"wall_s" k then None else Some (k, strip v))
+           fields)
+    | Json.List xs -> Json.List (List.map strip xs)
+    | j -> j
+  in
+  match Json.parse line with
+  | Ok j -> Json.to_string (strip j)
+  | Error m -> Alcotest.failf "response line is not JSON: %s" m
+
 let serve_tests =
   [
+    test "a pooled serve answers byte for byte like a sequential one" (fun () ->
+        (* each line is decoded, solved and encoded in its own pool task;
+           on engines warmed with every key, the answers cannot depend on
+           which domain ran which line *)
+        let line r = Json.to_string (P.request_to_json r) in
+        let kinds =
+          [|
+            (fun i -> line (solve_request ~id:(Printf.sprintf "a%d" i) ~radius_um:5. ()));
+            (fun i -> line (solve_request ~id:(Printf.sprintf "b%d" i) ~radius_um:4. ()));
+            (fun i -> line (sweep_request ~id:(Printf.sprintf "s%d" i) ()));
+            (fun i -> Printf.sprintf "{not json %d" i);
+            (fun _ -> "");
+            (fun i ->
+              Printf.sprintf {|{"schema":"ttsv.request.v1","id":"m%d","kind":"nope"}|} i);
+            (fun i ->
+              line (solve_request ~id:(Printf.sprintf "c%d" i) ~radius_um:6. ~resolution:2 ()));
+          |]
+        in
+        let stream = List.init 64 (fun i -> kinds.(i mod Array.length kinds) i) in
+        let warmed engine =
+          List.iter
+            (fun r -> ignore (Engine.handle engine r))
+            [
+              solve_request ~radius_um:5. ();
+              solve_request ~radius_um:4. ();
+              solve_request ~radius_um:6. ~resolution:2 ();
+              sweep_request ();
+            ];
+          engine
+        in
+        let answered, sequential = serve_lines ~engine:(warmed (Engine.create ())) stream in
+        let blanks = List.length (List.filter (( = ) "") stream) in
+        Alcotest.(check int) "one answer per non-blank line" (64 - blanks) answered;
+        Ttsv_parallel.Pool.with_pool ~domains:2 @@ fun pool ->
+        let pooled_answered, pooled =
+          serve_lines ~engine:(warmed (Engine.create ~pool ())) stream
+        in
+        Alcotest.(check int) "as many answers pooled" answered pooled_answered;
+        Alcotest.(check (list string))
+          "same bytes, wall times aside" (List.map strip_wall sequential)
+          (List.map strip_wall pooled));
     test "serve answers every line in order, malformed lines included" (fun () ->
         let good id = Json.to_string (P.request_to_json (solve_request ~id ())) in
         let answered, lines =
